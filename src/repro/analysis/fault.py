@@ -12,13 +12,20 @@ produce a concrete witness scenario per violating class.
 Two sharded variants fan the work out over :mod:`repro.parallel` worker
 processes:
 
-* :func:`fault_tolerance_sharded` partitions the *scenario space* by the
-  first failed link (a fixed number of link batches, independent of the
-  worker count, so the decomposition — and hence the merged report — is
-  identical at any ``jobs``).  Each worker simulates a batch-restricted
-  meta-protocol (out-of-batch scenarios collapse onto no-failure leaves)
-  and counts classes only over its own batch; the parent merges the
-  per-batch class lists in canonical batch order.
+* :func:`fault_tolerance_sharded` splits the *scenario space* into the two
+  cofactors on the scenario key's top bit (the MSB of its leading node).
+  Each worker simulates a cofactor-restricted meta-protocol (scenarios of
+  the other cofactor collapse onto no-failure leaves) and counts classes
+  only over its own half; the parent merges the two class lists, low
+  cofactor first.  The split follows the key's variable order, so each
+  unit builds one half of the serial MTBDD instead of rebuilding the
+  sub-diagrams that all scenarios share.  The unit count is a constant 2,
+  not derived from the worker count: the decomposition — and hence the
+  merged report and the summed work counters — is identical at any
+  ``jobs``.  Finer splits are not worth it: every extra unit pays a fixed
+  rebuild of the no-failure and shared sub-diagrams and inflates apply
+  calls (8 key-aligned units do about 2x the serial work on fig 13b),
+  which only more than about 4 workers could win back.
 * :func:`naive_fault_tolerance` optionally shards the §2.7 baseline's
   one-simulation-per-scenario loop over the same pool.
 
@@ -39,7 +46,9 @@ from ..eval.maps import MapContext, NVMap
 from ..lang import types as T
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
-from ..transform.fault_tolerance import fault_tolerance_transform, scenario_key_type
+from ..transform.fault_tolerance import (check_failure_counts,
+                                        fault_tolerance_transform,
+                                        scenario_key_type)
 
 
 @dataclass
@@ -94,18 +103,16 @@ def fault_tolerance_analysis(net: Network,
                              with_witnesses: bool = False,
                              functions_factory=None,
                              drop_body=None,
-                             link_batch: Sequence[tuple[int, int]] | None = None
-                             ) -> FaultReport:
+                             top_bit: int | None = None) -> FaultReport:
     """Simulate all failure scenarios of ``net`` at once and check its
     assertion under every one of them.
 
     ``functions_factory`` optionally overrides how the transformed program is
     turned into executable functions (the compiled backend passes its own).
 
-    ``link_batch`` restricts the analysis to the scenarios whose first
-    failed link is one of the given physical links (see
-    :func:`fault_tolerance_sharded`): classes and witnesses are then counted
-    only over that slice of the scenario space.
+    ``top_bit`` (0 or 1) restricts the analysis to the scenarios whose key
+    has that first bit (see :func:`fault_tolerance_sharded`): classes and
+    witnesses are then counted only over that half of the scenario space.
     """
     t0 = perf_counter()
     with metrics.phase("fault.transform"), \
@@ -113,7 +120,7 @@ def fault_tolerance_analysis(net: Network,
                   node_failures=node_failures):
         ft_net = fault_tolerance_transform(net, num_link_failures,
                                            node_failures, drop_body=drop_body,
-                                           link_batch=link_batch)
+                                           top_bit=top_bit)
     transform_seconds = perf_counter() - t0
 
     with obs.span("fault.setup"):
@@ -154,15 +161,10 @@ def fault_tolerance_analysis(net: Network,
     reports: list[NodeFaultReport] = []
     witnesses: dict[int, Any] = {}
     key_ty = scenario_key_type(num_link_failures, node_failures)
-    # The key slice classes are counted over: the full valid-key domain, or
-    # its intersection with the batch-membership BDD under sharding.
-    restrict = ctx.domain(key_ty)
-    if link_batch is not None:
-        restrict = ctx.manager.band(
-            restrict, _batch_member_bdd(ctx, node_failures, link_batch))
+    restrict = unit_restriction(ctx, key_ty, top_bit)
     with metrics.phase("fault.classes"), \
          obs.span("fault.classes", witnesses=with_witnesses,
-                  batched=link_batch is not None) as sp:
+                  batched=top_bit is not None) as sp:
         width = ctx.encoder.width(key_ty)
         violating: list[tuple[int, NVMap]] = []
         for u in range(ft_net.num_nodes):
@@ -183,6 +185,19 @@ def fault_tolerance_analysis(net: Network,
 
     return FaultReport(num_link_failures, node_failures, reports,
                        simulate_seconds, transform_seconds, witnesses)
+
+
+def unit_restriction(ctx: MapContext, key_ty: T.Type,
+                     top_bit: int | None = None) -> int:
+    """The key slice classes are counted over: the valid-key domain, or its
+    cofactor on the key's first bit (``domain ∧ var(0)`` for ``top_bit=1``,
+    ``domain ∧ ¬var(0)`` for 0) when sharded."""
+    restrict = ctx.domain(key_ty)
+    if top_bit is None:
+        return restrict
+    mgr = ctx.manager
+    bit = mgr.var(0)
+    return mgr.band(restrict, bit if top_bit else mgr.bnot(bit))
 
 
 def _violation_witness(label: NVMap, key_ty: T.Type, check, node: int,
@@ -217,29 +232,6 @@ def _violation_witnesses(items: Sequence[tuple[int, NVMap]], key_ty: T.Type,
     return out
 
 
-def _batch_member_bdd(ctx: MapContext, node_failures: bool,
-                      link_batch: Sequence[tuple[int, int]]) -> int:
-    """Boolean BDD over the scenario-key bits selecting the scenarios whose
-    first failed link belongs to ``link_batch`` (either orientation).
-
-    The first edge component sits at bit offset 0 (or after the failed-node
-    bits when ``node_failures``); its encoding is the source node's bits
-    followed by the destination's (see :mod:`repro.eval.encoding`).
-    """
-    mgr = ctx.manager
-    enc = ctx.encoder
-    offset = enc.node_width if node_failures else 0
-    out = mgr.false
-    for u, v in link_batch:
-        for a, b in ((u, v), (v, u)):
-            cube = mgr.true
-            for i, bit in enumerate(enc.encode(T.TEdge(), (a, b))):
-                var = mgr.var(offset + i)
-                cube = mgr.band(cube, var if bit else mgr.bnot(var))
-            out = mgr.bor(out, cube)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Sharded execution (repro.parallel fan-out)
 # ----------------------------------------------------------------------
@@ -260,44 +252,6 @@ def _factory_for_backend(backend: str):
     raise ValueError(f"unknown backend {backend!r}; use 'interp' or 'native'")
 
 
-def physical_links(net: Network) -> tuple[tuple[int, int], ...]:
-    """The network's undirected physical links (derived from the directed
-    edge set when the program did not record them)."""
-    if net.links:
-        return tuple(net.links)
-    seen: set[tuple[int, int]] = set()
-    links: list[tuple[int, int]] = []
-    for u, v in net.edges:
-        key = (u, v) if u <= v else (v, u)
-        if key not in seen:
-            seen.add(key)
-            links.append(key)
-    return tuple(links)
-
-
-def link_batches(net: Network, batches: int | None = None
-                 ) -> list[tuple[tuple[int, int], ...]]:
-    """Partition the physical links into a *fixed* number of batches.
-
-    The batch count defaults to ``min(8, num_links)`` and deliberately does
-    **not** depend on the worker count: the decomposition (and therefore the
-    merged report) is identical whether the batches run on 1 or 8 workers.
-    """
-    links = physical_links(net)
-    if not links:
-        return []
-    n = min(batches or 8, len(links))
-    n = max(1, n)
-    base, extra = divmod(len(links), n)
-    out: list[tuple[tuple[int, int], ...]] = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < extra else 0)
-        out.append(links[start:start + size])
-        start += size
-    return out
-
-
 def freeze_fault_report(report: FaultReport) -> FaultReport:
     """Make a fault report transportable: every route value (class
     representatives, witnesses) has its live :class:`NVMap`s replaced by
@@ -316,13 +270,13 @@ def freeze_fault_report(report: FaultReport) -> FaultReport:
 
 def _fault_shard_factory(payload: dict[str, Any]):
     """Worker-side factory for :func:`fault_tolerance_sharded`: one
-    batch-restricted fig 5 analysis per unit.  The MapContext/BDD manager is
+    cofactor-restricted fig 5 analysis per unit.  The MapContext/BDD manager is
     rebuilt here, per process — it never crosses the fork/spawn boundary;
     results are frozen (maps snapshotted) before they travel back."""
     net: Network = payload["net"]
     factory = _factory_for_backend(payload["backend"])
 
-    def run(batch: tuple[tuple[int, int], ...]) -> FaultReport:
+    def run(top_bit: int) -> FaultReport:
         return freeze_fault_report(fault_tolerance_analysis(
             net, payload["symbolics"],
             num_link_failures=payload["num_link_failures"],
@@ -330,18 +284,20 @@ def _fault_shard_factory(payload: dict[str, Any]):
             with_witnesses=payload["with_witnesses"],
             functions_factory=factory,
             drop_body=payload["drop_body"],
-            link_batch=batch))
+            top_bit=top_bit))
 
     return run
 
 
 def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
-    """Combine batch-restricted reports into one full-scenario-space report.
+    """Combine unit-restricted reports into one full-scenario-space report.
 
-    Per node, class counts for equal route values are summed across batches
-    (batches partition the scenario space, so the sums are exact); classes
-    are emitted in first-seen batch order, which is deterministic because
-    the batch decomposition is.  Witnesses keep the lowest-batch find.
+    Per node, class counts for equal route values are summed across units
+    (units partition the scenario space, so the sums are exact); classes
+    are emitted in first-seen unit order, which is deterministic because
+    the decomposition is.  Witnesses keep the lowest-unit find: witnesses
+    are the least violating key in variable order, and the units are
+    ordered by the key's first bit, so that is the unsharded witness.
     Timings accumulate — they are total work, not wall clock.
     """
     if not reports:
@@ -371,6 +327,11 @@ def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
         witnesses)
 
 
+#: The sharded fault analysis's units: the two values of the scenario key's
+#: first bit, low cofactor first.
+SCENARIO_UNITS = (0, 1)
+
+
 def fault_tolerance_sharded(net: Network,
                             symbolics: dict[str, Any] | None = None,
                             num_link_failures: int = 1,
@@ -379,26 +340,17 @@ def fault_tolerance_sharded(net: Network,
                             drop_body=None,
                             backend: str = "interp",
                             jobs: int | None = 1,
-                            batches: int | None = None,
                             start_method: str | None = None) -> FaultReport:
-    """Fig 5 analysis decomposed into scenario batches over worker processes.
+    """Fig 5 analysis split into the two cofactors on the scenario key's
+    top bit, run over worker processes.
 
-    The scenario space is partitioned by the first failed link into
-    :func:`link_batches` batches (count independent of ``jobs``); each batch
-    runs a restricted meta-protocol in a pool worker and reports classes for
-    its own scenarios only; the merged report covers the full space and is
-    byte-identical for any ``jobs`` value.  ``jobs=1`` runs the same units
-    in-process; ``jobs=None`` resolves ``NV_JOBS`` / CPU count.
+    Each unit runs a restricted meta-protocol in a pool worker and reports
+    classes for its own half of the scenario space; the merged report
+    covers the full space and is byte-identical for any ``jobs`` value.
+    ``jobs=1`` runs the same units in-process; ``jobs=None`` resolves
+    ``NV_JOBS`` / CPU count.
     """
-    units = link_batches(net, batches)
-    if num_link_failures == 0 or not units:
-        # Nothing to partition on (node-failure-only analysis, or a network
-        # with no links): a single unrestricted unit keeps one code path.
-        factory = _factory_for_backend(backend)
-        return freeze_fault_report(fault_tolerance_analysis(
-            net, symbolics, num_link_failures=num_link_failures,
-            node_failures=node_failures, with_witnesses=with_witnesses,
-            functions_factory=factory, drop_body=drop_body))
+    check_failure_counts(num_link_failures, node_failures)
     payload = {
         "net": net, "symbolics": symbolics,
         "num_link_failures": num_link_failures,
@@ -407,10 +359,10 @@ def fault_tolerance_sharded(net: Network,
         "drop_body": drop_body, "backend": backend,
     }
     reports = parallel.run_sharded(
-        "repro.analysis.fault:_fault_shard_factory", payload, units,
+        "repro.analysis.fault:_fault_shard_factory", payload, SCENARIO_UNITS,
         jobs=jobs, start_method=start_method, label="fault",
-        unit_labels=[f"batch{i}(n={len(u)})" for i, u in enumerate(units)])
-    perf.merge({"batches": len(units)}, prefix="fault.")
+        unit_labels=[f"top{b}" for b in SCENARIO_UNITS])
+    perf.merge({"batches": len(SCENARIO_UNITS)}, prefix="fault.")
     return merge_fault_reports(reports)
 
 

@@ -10,7 +10,8 @@ Mirrors the original artifact's ``nv`` binary: point it at an NV source file
 The three analysis commands take ``--jobs N`` (default ``$NV_JOBS``, else
 the CPU count capped at 8) and shard their work over worker processes:
 ``simulate``/``verify`` across several input files (one per destination
-prefix), ``fault`` across failure-scenario batches.  ``--jobs 1`` runs the
+prefix), ``fault`` across the two halves of the failure-scenario space
+(the cofactors on the scenario key's top bit).  ``--jobs 1`` runs the
 identical work serially, in-process.
     python -m repro explain network.nv NODE
     python -m repro translate configs_dir/ [--assert-prefix A.B.C.D/L] [-o out.nv]

@@ -22,13 +22,18 @@ from ..lang.errors import NvEncodingError
 from .values import VRecord, VSome
 
 
+def node_width(num_nodes: int) -> int:
+    """Bits per node id in a network of ``num_nodes`` nodes (at least 1)."""
+    return max(1, (num_nodes - 1).bit_length())
+
+
 class Encoder:
     """Encodes values of finitary types as bit patterns for a fixed network."""
 
     def __init__(self, num_nodes: int, edges: tuple[tuple[int, int], ...]) -> None:
         self.num_nodes = num_nodes
         self.edges = tuple(edges)
-        self.node_width = max(1, (max(num_nodes - 1, 0)).bit_length()) if num_nodes > 1 else 1
+        self.node_width = node_width(num_nodes)
 
     # ------------------------------------------------------------------
     # Layout

@@ -63,6 +63,9 @@ _tls = threading.local()
 #: that thread's ``_tls.stack``), so :func:`reset` can clear in-progress
 #: stacks on *all* threads and :func:`flush_partial` can see open spans.
 _stacks: dict[int, list["Span"]] = {}
+#: Ingested spans whose parent's record has not arrived yet, keyed by that
+#: parent's id (a worker writes a span at close, so children come first).
+_orphans: dict[int, list["Span"]] = {}
 _ids = itertools.count(1)
 
 
@@ -149,6 +152,7 @@ def reset() -> None:
         # thread's entry would orphan its stack).
         for stack in _stacks.values():
             stack.clear()
+        _orphans.clear()
 
 
 def track_memory(on: bool = True) -> None:
@@ -286,6 +290,13 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
     are linked under it instead, which is how worker span trees become
     children of the dispatching ``*.sharded`` span.
 
+    Every *complete* span record also joins the in-memory span tree
+    (:func:`roots`, :func:`render_tree`) under its remapped parent — an
+    ingested span, or a span still open here such as the dispatch span — so
+    the text tree shows worker spans just as the JSONL sink does.
+    ``"partial": true`` snapshots are skipped; their completed record
+    follows.
+
     When ``t_offset`` is omitted it is derived from the records' ``meta``
     header: the worker's ``t_epoch`` minus this trace's origin epoch is the
     wall-clock skew between the two timelines (0.0 if the records carry no
@@ -330,7 +341,29 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
             attrs = dict(rec.get("attrs") or {})
             attrs.update(extra_attrs)
             rec["attrs"] = attrs
+        if rec.get("type") == "span" and not rec.get("partial"):
+            _adopt(rec)
         _write(rec)
+
+
+def _adopt(rec: dict[str, Any]) -> None:
+    """Attach one complete, remapped span record to the in-memory tree."""
+    sp = Span(name=rec["name"], attrs=dict(rec.get("attrs") or {}),
+              id=rec["id"], parent_id=rec.get("parent", 0),
+              t0=float(rec.get("t0", 0.0)), dur=float(rec.get("dur", 0.0)),
+              n_events=int(rec.get("events", 0)),
+              counters=dict(rec.get("counters") or {}))
+    with _lock:
+        sp.children = _orphans.pop(sp.id, [])
+        if not sp.parent_id:
+            _roots.append(sp)
+            return
+        parent = next((o for stack in _stacks.values() for o in stack
+                       if o.id == sp.parent_id), None)
+        if parent is not None:
+            parent.children.append(sp)
+        else:
+            _orphans.setdefault(sp.parent_id, []).append(sp)
 
 
 @contextmanager

@@ -14,9 +14,9 @@ Scenario key types:
 * ``k >= 2`` link failures → key is a k-tuple of edges (a scenario's failed
   set is the set of its components, so tuples with repeats model scenarios
   with fewer failures — every combination of ≤ k failures is covered);
-* ``node_failures=True`` adds a failed node: key is ``(node, edge...)``;
-  the route is dropped when the traversed edge leaves or enters the failed
-  node.
+* ``node_failures=True`` adds a failed node: key is ``(node, edge...)``
+  (just ``node`` when ``k = 0``); the route is dropped when the traversed
+  edge leaves or enters the failed node.
 
 A second entry point, :func:`symbolic_failures_program`, produces the
 SMT-oriented variant: one symbolic boolean per physical link with a
@@ -26,6 +26,7 @@ fault-tolerance checking uses (compared against in fig 13a).
 
 from __future__ import annotations
 
+from ..eval.encoding import node_width
 from ..lang import ast as A
 from ..lang import types as T
 from ..srp.network import Network
@@ -44,6 +45,12 @@ def _or_all(parts: list[A.Expr]) -> A.Expr:
     for p in parts[1:]:
         e = A.EOp("or", (e, p))
     return e
+
+
+def check_failure_counts(num_link_failures: int, node_failures: bool) -> None:
+    """Reject fault models with no failure to enumerate."""
+    if num_link_failures < 0 or (num_link_failures == 0 and not node_failures):
+        raise ValueError("at least one link or node failure is required")
 
 
 def scenario_key_type(num_link_failures: int, node_failures: bool) -> T.Type:
@@ -80,6 +87,8 @@ def _scenario_fails_edge(scenario: A.Expr, key_ty: T.Type, edge_var: str,
     """AST for "this scenario fails the edge bound to ``edge_var``"."""
     if isinstance(key_ty, T.TEdge):
         return _edge_matches(scenario, edge_var)
+    if isinstance(key_ty, T.TNode):
+        return _node_hits_edge(scenario, edge_var)
     assert isinstance(key_ty, T.TTuple)
     arity = len(key_ty.elts)
     parts: list[A.Expr] = []
@@ -94,31 +103,24 @@ def _scenario_fails_edge(scenario: A.Expr, key_ty: T.Type, edge_var: str,
     return _or_all(parts)
 
 
-def _scenario_in_batch(scenario: A.Expr, key_ty: T.Type,
-                       link_batch: tuple[tuple[int, int], ...],
-                       node_failures: bool) -> A.Expr:
-    """AST for "this scenario belongs to the given link batch".
+def _scenario_in_cofactor(scenario: A.Expr, key_ty: T.Type, node_bits: int,
+                          top_bit: int) -> A.Expr:
+    """AST for "the scenario key's top bit is ``top_bit``".
 
-    Batch membership is decided by the scenario's *first edge component*
-    (component 0, or component 1 when a failed node leads the tuple): the
-    scenario is in the batch iff that edge is one of the batch's physical
-    links, in either orientation.  Partitioning the links therefore
-    partitions the scenario space exactly — the property the sharded
-    fault driver's per-batch class counting relies on.
+    The key's first encoded bit is the MSB of its leading node: the failed
+    node when one leads the tuple, else the first failed edge's source (see
+    :mod:`repro.eval.encoding`).  That bit is clear iff the leading node is
+    below ``2^(node_bits - 1)``, so membership is one ``<`` on that node.
     """
+    lead = scenario
+    if isinstance(key_ty, T.TTuple):
+        lead = A.ETupleGet(scenario, 0, len(key_ty.elts))
+        key_ty = key_ty.elts[0]
     if isinstance(key_ty, T.TEdge):
-        comp: A.Expr = scenario
-    else:
-        assert isinstance(key_ty, T.TTuple)
-        index = 1 if node_failures else 0
-        comp = A.ETupleGet(scenario, index, len(key_ty.elts))
-    parts: list[A.Expr] = []
-    for u, v in link_batch:
-        parts.append(_eq(comp, A.EEdge(u, v)))
-        parts.append(_eq(comp, A.EEdge(v, u)))
-    if not parts:
-        return A.EBool(False)
-    return _or_all(parts)
+        lead = A.ELetPat(A.PTuple((A.PVar("__lu"), A.PVar("__lv"))),
+                         lead, _var("__lu"))
+    low = A.EOp("lt", (lead, A.ENode(1 << (node_bits - 1))))
+    return A.EOp("not", (low,)) if top_bit else low
 
 
 def _node_hits_edge(failed_node: A.Expr, edge_var: str) -> A.Expr:
@@ -134,8 +136,7 @@ def _node_hits_edge(failed_node: A.Expr, edge_var: str) -> A.Expr:
 def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
                               node_failures: bool = False,
                               drop_body: A.Expr | None = None,
-                              link_batch: tuple[tuple[int, int], ...] | None = None
-                              ) -> Network:
+                              top_bit: int | None = None) -> Network:
     """Apply the fig 5 meta-protocol to a network program.
 
     The returned network's attribute type is ``dict[scenario, α]``; its
@@ -148,16 +149,22 @@ def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
     config-translated networks) must supply their own — the generalisation
     the paper's fig 5 caption calls out.
 
-    ``link_batch`` restricts the meta-protocol to the scenarios whose first
-    failed link is one of the given physical links: the transfer predicate
-    becomes ``in_batch(sc) && fails(sc, e)``, so out-of-batch scenarios
-    never drop a route and all collapse onto the no-failure leaves.  Routes
-    of *in-batch* scenarios are exactly those of the unrestricted
-    transform.  This is the decomposition :func:`repro.analysis.fault.
-    fault_tolerance_sharded` fans out over worker processes.
+    ``top_bit`` (0 or 1) restricts the meta-protocol to one cofactor of
+    the scenario key's first encoded bit, the MSB of its leading node: the
+    transfer predicate becomes ``in_cofactor(sc) && fails(sc, e)``, so
+    scenarios of the other cofactor never drop a route and all collapse onto
+    the no-failure leaves.  Routes of in-cofactor scenarios are exactly
+    those of the unrestricted transform, and because the split follows the
+    key's variable order, each restricted map is one half of the
+    unrestricted MTBDD: the sub-diagrams shared under that half are built
+    once, as in the serial run.  This is the decomposition
+    :func:`repro.analysis.fault.fault_tolerance_sharded` fans out over
+    worker processes.  It splits on one bit, into two units, and no
+    further: every unit rebuilds the no-failure and shared sub-diagrams,
+    so 8 units on the key's leading bits do about twice the serial work,
+    which only more than about 4 workers could win back.
     """
-    if num_link_failures < 0 or (num_link_failures == 0 and not node_failures):
-        raise ValueError("at least one link or node failure is required")
+    check_failure_counts(num_link_failures, node_failures)
     if drop_body is None:
         if not isinstance(net.attr_ty, T.TOption):
             raise ValueError(
@@ -188,10 +195,10 @@ def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
     # let trans e x = mapIte (fun sc -> fails sc e) (fun v -> drop) (transBase e) x
     fails = _scenario_fails_edge(
         _var("__sc"), key_ty, "e", num_link_failures, node_failures)
-    if link_batch is not None:
+    if top_bit is not None:
         fails = A.EOp("and", (
-            _scenario_in_batch(_var("__sc"), key_ty, tuple(link_batch),
-                               node_failures),
+            _scenario_in_cofactor(_var("__sc"), key_ty,
+                                  node_width(net.num_nodes), top_bit),
             fails))
     pred = A.EFun("__sc", fails, param_ty=key_ty)
     drop_fn = A.EFun("__v", drop_body)

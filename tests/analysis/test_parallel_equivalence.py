@@ -69,7 +69,7 @@ class TestFaultEquivalence:
         assert normalize_fault(fanned) == normalize_fault(serial)
 
     def test_scenario_count_conserved(self):
-        # Batch restriction partitions the scenario space exactly: per-node
+        # The two units partition the scenario space exactly: per-node
         # scenario counts must sum to the base analysis's counts.
         net = repro.load(RIP_TRIANGLE)
         base = fault_tolerance_analysis(net)

@@ -1,8 +1,9 @@
 """Merged-trace invariants for sharded analysis runs (satellite of the
 cross-process tracing work): the jobs=2 merge of per-worker traces must be
 structurally equivalent to the serial trace — same span-tree shape by
-name — with unique remapped ids, resolvable parent links, and worker
-records stamped with their lane."""
+name, in the JSONL sink and in the in-memory tree ``--trace`` renders —
+with unique remapped ids, resolvable parent links, and worker records
+stamped with their lane."""
 
 import json
 from collections import Counter
@@ -11,9 +12,12 @@ import pytest
 
 import repro
 from repro import metrics, obs, perf
+from repro.analysis.fault import fault_tolerance_sharded
 from repro.analysis.simulation import run_simulations
 from repro.report import load_trace
 from repro.topology import sp_program
+
+from tests.helpers import RIP_TRIANGLE
 
 
 @pytest.fixture(autouse=True)
@@ -27,16 +31,32 @@ def clean_registries():
         mod.reset()
 
 
-def _run_traced(tmp_path, jobs, name):
-    """Run the fig13c-style per-prefix simulation smoke under a trace."""
-    nets = [repro.load(sp_program(4, d)) for d in (0, 1, 2)]
+def _sim_run(jobs):
+    """The fig13c-style per-prefix simulation smoke."""
+    return lambda: run_simulations(
+        [repro.load(sp_program(4, d)) for d in (0, 1, 2)], jobs=jobs,
+        unit_labels=[f"prefix{d}.nv" for d in (0, 1, 2)])
+
+
+def _fault_run(jobs):
+    """The sharded fig 5 fault analysis of the RIP triangle."""
+    return lambda: fault_tolerance_sharded(
+        repro.load(RIP_TRIANGLE), with_witnesses=True, jobs=jobs)
+
+
+def _trace_roots(tmp_path, name, run):
+    """Trace ``run()``; return the JSONL path and the in-memory roots."""
     trace = tmp_path / f"{name}.jsonl"
     obs.enable(jsonl=str(trace))
-    run_simulations(nets, jobs=jobs,
-                    unit_labels=[f"prefix{d}.nv" for d in (0, 1, 2)])
+    run()
     obs.disable()
+    roots = obs.roots()
     obs.reset()
-    return trace
+    return trace, roots
+
+
+def _run_traced(tmp_path, jobs, name):
+    return _trace_roots(tmp_path, name, _sim_run(jobs))[0]
 
 
 def _edge_multiset(roots):
@@ -59,6 +79,18 @@ class TestSpanTreeEquivalence:
         serial_roots, _ = load_trace(_run_traced(tmp_path, 1, "serial"))
         fanned_roots, _ = load_trace(_run_traced(tmp_path, 2, "fanned"))
         assert _edge_multiset(serial_roots) == _edge_multiset(fanned_roots)
+
+    @pytest.mark.parametrize("run", [_sim_run, _fault_run])
+    def test_serial_and_sharded_text_trees_match_by_name(self, tmp_path, run):
+        _, serial = _trace_roots(tmp_path, "serial", run(1))
+        _, fanned = _trace_roots(tmp_path, "fanned", run(2))
+        assert _edge_multiset(serial) == _edge_multiset(fanned)
+
+    @pytest.mark.parametrize("run", [_sim_run, _fault_run])
+    def test_text_tree_matches_jsonl_tree(self, tmp_path, run):
+        trace, roots = _trace_roots(tmp_path, "fanned", run(2))
+        assert _edge_multiset(roots) == _edge_multiset(load_trace(trace)[0])
+        assert ".unit" in obs.render_tree(roots)
 
     def test_unit_spans_under_dispatch(self, tmp_path):
         roots, _ = load_trace(_run_traced(tmp_path, 2, "t"))
