@@ -17,7 +17,7 @@ Run as a script for the BENCH protocol (fresh-process min-of-N cells via
 :mod:`_timing`, one cell per engine configuration)::
 
     PYTHONPATH=src python benchmarks/bench_fig13b_fault_scaling.py --runs 3 \
-        [--failures 2] [--engines object,arena,arena-scalar,arena-vectorized] \
+        [--failures 2] [--engines object,arena,arena-scalar] \
         [--src /path/to/other/tree/src] [--out cells.json]
 """
 
@@ -32,8 +32,6 @@ ENGINE_ENVS = {
     "object": {"NV_BDD_ENGINE": "object"},
     "arena": {"NV_BDD_ENGINE": "arena"},
     "arena-scalar": {"NV_BDD_ENGINE": "arena", "NV_BDD_NUMPY": "0"},
-    "arena-vectorized": {"NV_BDD_ENGINE": "arena",
-                         "NV_BDD_FRONTIER_MIN": "0"},
 }
 
 FATTREE_CASES = sizes([(k, f) for k in (4, 6, 8) for f in (1, 2)])
@@ -137,8 +135,7 @@ def main(argv=None) -> int:
         description="fig13b WAN-60 BENCH cells (fresh-process min-of-N)")
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--failures", type=int, default=2)
-    ap.add_argument("--engines", default="object,arena,arena-scalar,"
-                                         "arena-vectorized")
+    ap.add_argument("--engines", default="object,arena,arena-scalar")
     ap.add_argument("--src", default=None,
                     help="PYTHONPATH of another tree to measure with the "
                          "same protocol (e.g. a seed-commit worktree)")

@@ -121,8 +121,6 @@ ENGINE_ENVS = {
     "object": {"NV_BDD_ENGINE": "object"},
     "arena": {"NV_BDD_ENGINE": "arena"},
     "arena-scalar": {"NV_BDD_ENGINE": "arena", "NV_BDD_NUMPY": "0"},
-    "arena-vectorized": {"NV_BDD_ENGINE": "arena",
-                         "NV_BDD_FRONTIER_MIN": "0"},
 }
 
 

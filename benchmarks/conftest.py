@@ -165,8 +165,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"perf counter snapshot written to {out}")
     # ``NV_METRICS_JSON=path`` dumps the metrics snapshot (gauges +
     # histograms — under ``NV_TELEMETRY=1`` that includes the arena
-    # engine's ``bdd.frontier_width``/``bdd.batch_width`` histograms) so
-    # CI can archive kernel-shape distributions next to the counters.
+    # engine's ``bdd.*_probe_len`` table-health histograms) so CI can
+    # archive kernel-depth distributions next to the counters.
     mout = os.environ.get("NV_METRICS_JSON")
     if mout:
         msnap = metrics.snapshot()

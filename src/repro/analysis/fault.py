@@ -200,31 +200,20 @@ def unit_restriction(ctx: MapContext, key_ty: T.Type,
     return mgr.band(restrict, bit if top_bit else mgr.bnot(bit))
 
 
-def _violation_witness(label: NVMap, key_ty: T.Type, check, node: int,
-                       restrict: int | None = None) -> Any:
-    """A concrete failure scenario under which ``node`` violates the
-    assertion, decoded from the converged MTBDD.  ``restrict`` bounds the
-    search to a key slice (defaults to the full valid-key domain)."""
-    out = _violation_witnesses([(node, label)], key_ty, check, restrict)
-    return out.get(node)
-
-
 def _violation_witnesses(items: Sequence[tuple[int, NVMap]], key_ty: T.Type,
                          check, restrict: int | None = None) -> dict[int, Any]:
-    """Witness scenarios for many ``(node, label)`` pairs at once: the
-    per-node ``bad`` indicator maps are built in one ``apply1_many`` batch
-    (each node's assertion closure is its own group, but they share the
-    frontier passes), then each witness is a sat path through its map."""
+    """A concrete failure scenario per violating ``(node, label)`` pair,
+    decoded from the converged MTBDD: a sat path through the node's ``bad``
+    indicator map.  ``restrict`` bounds the search to a key slice (defaults
+    to the full valid-key domain)."""
     ctx = items[0][1].ctx
     mgr = ctx.manager
     if restrict is None:
         restrict = ctx.domain(key_ty)
-    bads = mgr.apply1_many(
-        [(lambda value, _u=u: not check(_u, value), label.root, None)
-         for u, label in items])
     width = ctx.encoder.width(key_ty)
     out: dict[int, Any] = {}
-    for (u, _label), bad in zip(items, bads):
+    for u, label in items:
+        bad = mgr.apply1(lambda value, _u=u: not check(_u, value), label.root)
         assignment = mgr.any_sat(mgr.band(bad, restrict), width)
         if assignment is not None:
             bits = [assignment[i] for i in range(width)]
@@ -426,7 +415,6 @@ def _naive_scenario_violates(net: Network, symbolics: dict[str, Any] | None,
         return base_trans(edge, x)
 
     funcs.trans = trans
-    funcs.trans_many = None   # the override invalidates any batch form
     solution = simulate(funcs)
     return bool(solution.check_assertions(funcs.assert_fn))
 

@@ -24,9 +24,9 @@ __all__ = ["ArenaBddManager", "BddManager", "LEAF_LEVEL", "engine_hint",
 
 _ENGINES = {"object": BddManager, "arena": ArenaBddManager}
 
-#: One-line description of the most recently constructed manager (engine,
-#: numpy availability, frontier thresholds).  ``repro.observatory`` copies
-#: it into the RunRecord env fingerprint so ``repro runs diff`` can
+#: One-line description of the most recently constructed manager (engine
+#: and numpy availability).  ``repro.observatory`` copies it into the
+#: RunRecord env fingerprint so ``repro runs diff`` can
 #: attribute a timing delta to an engine-choice difference — fig13b runs
 #: ~1.3x slower on ``arena`` than ``object`` when numpy is unavailable
 #: (BENCH_pr10.json), which is invisible if records only say "arena".
@@ -62,9 +62,7 @@ def make_manager(**kwargs):
         if np is None:
             _last_hint = "arena+scalar"
         else:
-            _last_hint = (f"arena+numpy-{np.__version__}"
-                          f"(frontier_min={mgr._frontier_min},"
-                          f"width={mgr._frontier_width})")
+            _last_hint = f"arena+numpy-{np.__version__}"
     else:
         _last_hint = name
     return mgr

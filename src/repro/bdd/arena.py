@@ -16,12 +16,14 @@ representational:
   linear-probe int arrays with power-of-two capacity, multiplicative
   hashing and amortised rehash on load factor — no Python dicts, no tuple
   keys, no per-entry allocation on the hot path.
-* The ``apply1``/``apply2``/``map_ite`` and boolean-op inner loops are
-  closure-recursive over locals bound to the arena columns: per node-pair
-  they execute a handful of index/compare bytecodes instead of the object
-  engine's frame tuples and explicit result stacks.
-* Bulk analyses (reachability marking, ``sat_count``, ``leaves``,
-  ``node_count``) run vectorised over ``numpy`` views of the arena when
+* There is one scalar kernel per MTBDD operation.  ``apply1``/``map_ite``
+  and the boolean ops are closure-recursive and ``apply2`` is an explicit
+  stack loop, all over locals bound to the arena columns: per node-pair
+  they execute a handful of index/compare bytecodes, with the unique-table
+  probe inlined.
+* Bulk passes (reachability marking, ``sat_count``, ``leaves``,
+  ``node_count`` and the unique-table rehash of a large arena) run
+  vectorised over transient zero-copy ``numpy`` views of the arena when
   numpy is importable, with a pure-``array`` fallback so ``dependencies =
   []`` installs keep working (force the fallback with ``NV_BDD_NUMPY=0``).
 
@@ -68,44 +70,9 @@ _CACHE_INIT_CAP = 1 << 8
 #: a small traversal (``leaf_groups`` issues many tiny ``sat_count`` calls).
 _NP_REACHABLE_CUTOFF = 8192
 
-#: Default for ``NV_BDD_FRONTIER_MIN``: operand diagrams below this node
-#: count run the scalar kernels — a frontier pass costs a few dozen numpy
-#: calls per level, which a tiny diagram cannot amortise (fig14's per-route
-#: maps are this case).  Set ``NV_BDD_FRONTIER_MIN=0`` to force the
-#: vectorised path for every op (the equivalence tests do).
-_FRONTIER_MIN_DEFAULT = 512
-
-#: Second dispatch statistic: the *average level width* (reachable nodes
-#: per decision level) a root must reach before a frontier pass is worth
-#: it.  A pass pays its numpy cost per level, so deep-and-thin diagrams
-#: (fig13b's ~26-level fault routes average well under 10² nodes/level)
-#: lose to the scalar kernel even at thousands of total nodes, while wide
-#: shallow diagrams win far below that.  ``NV_BDD_FRONTIER_WIDTH=0``
-#: disables the width test (node count alone decides).
-_FRONTIER_WIDTH_DEFAULT = 256
-
 #: Arena size above which a unique-table rehash uses the vectorised
 #: claim-round rebuild instead of the scalar reinsertion loop.
 _NP_REHASH_CUTOFF = 4096
-
-#: Per-level node batches below this size insert through the scalar
-#: :meth:`mk` loop instead of ``_unique_insert_batch`` — the vectorised
-#: probe rounds cost ~0.2 ms regardless of width.
-_MK_SCALAR_MAX = 128
-
-#: Frontier task keys pack a group index (one per distinct ``(fn, memo)``
-#: in a batched call) into the top int64 bits above the 60 bits of packed
-#: node-pair key, so one pass shares level synchronisation across groups
-#: while each group keeps its own memo/dedup domain.  3 bits of group keep
-#: every key a positive int64.
-_GROUP_SHIFT = 60
-_GROUP_KEY_MASK = (1 << _GROUP_SHIFT) - 1
-_GROUP_MAX = 8
-
-#: map_ite child references pack (task family, task index): family 0 is the
-#: pred×map product, families 1/2 the fn_true/fn_false apply1 branches.
-_REF_SHIFT = 50
-_REF_MASK = (1 << _REF_SHIFT) - 1
 
 
 def numpy_or_none():
@@ -134,43 +101,6 @@ def _live_gauges(m: "ArenaBddManager") -> dict[str, float]:
         "bdd.op_ops": m.op_hits + m.op_misses,
         "bdd.apply_ops": m.apply_hits + m.apply_misses,
     }
-
-
-class _TaskTable:
-    """Growable parallel numpy columns for one frontier-pass task family.
-
-    A *task* is one ``(a, b)`` operand pair discovered during expansion:
-    ``a``/``b`` are the operand node ids, ``g`` the batch group, ``lo``/``hi``
-    the packed child-task references filled in when the task's level is
-    expanded, and ``res`` the result node id (-1 until rebuilt).  The table
-    is local to one pass — nothing here survives a kernel call."""
-
-    __slots__ = ("_np", "a", "b", "g", "lo", "hi", "res", "n", "_cap")
-
-    def __init__(self, np) -> None:
-        self._np = np
-        self._cap = 256
-        self.a = np.empty(self._cap, np.int32)
-        self.b = np.empty(self._cap, np.int32)
-        self.g = np.empty(self._cap, np.int8)
-        self.lo = np.empty(self._cap, np.int64)
-        self.hi = np.empty(self._cap, np.int64)
-        self.res = np.empty(self._cap, np.int64)
-        self.n = 0
-
-    def grow_to(self, need: int) -> None:
-        if need <= self._cap:
-            return
-        cap = self._cap
-        while cap < need:
-            cap *= 2
-        np = self._np
-        for name in ("a", "b", "g", "lo", "hi", "res"):
-            old = getattr(self, name)
-            new = np.empty(cap, old.dtype)
-            new[:self.n] = old[:self.n]
-            setattr(self, name, new)
-        self._cap = cap
 
 
 class ArenaBddManager:
@@ -218,37 +148,9 @@ class ArenaBddManager:
         self.unique_rehashes = 0
         self.op_rehashes = 0
         self.op_cache_clears = 0
-        # Level-synchronous frontier kernels (apply1/apply2/map_ite).  The
-        # numpy handle is captured once so an engine's representation never
-        # flips mid-manager; NV_BDD_NUMPY=0 keeps the scalar kernels as the
-        # executable spec.  The shadow columns are incrementally synced
-        # int32 copies of the arena columns (array('i') cannot be viewed
-        # persistently without blocking append), and the size-class cache
-        # remembers which roots are worth a vectorised pass.
+        # numpy for the large-arena unique-table rehash (None: the stdlib
+        # reinsertion loop), captured once per manager.
         self._np = numpy_or_none()
-        try:
-            self._frontier_min = int(
-                os.environ.get("NV_BDD_FRONTIER_MIN", "").strip()
-                or _FRONTIER_MIN_DEFAULT)
-        except ValueError:
-            self._frontier_min = _FRONTIER_MIN_DEFAULT
-        try:
-            self._frontier_width = int(
-                os.environ.get("NV_BDD_FRONTIER_WIDTH", "").strip()
-                or _FRONTIER_WIDTH_DEFAULT)
-        except ValueError:
-            self._frontier_width = _FRONTIER_WIDTH_DEFAULT
-        self._sh_var = None
-        self._sh_lo = None
-        self._sh_hi = None
-        self._sh_n = 0
-        self._size_class: dict[int, bool] = {}
-        self.frontier_passes = 0
-        self.frontier_tasks = 0
-        self.frontier_levels = 0
-        self.frontier_scalar_ops = 0
-        self._frontier_width_counts: dict[int, int] = {}
-        self._batch_width_counts: dict[int, int] = {}
         self._next_growth_sample = GROWTH_SAMPLE_INTERVAL
         metrics.register_weak_provider(
             f"bdd.arena.{next(_manager_ids)}", self, _live_gauges)
@@ -365,15 +267,20 @@ class ArenaBddManager:
         one step along their probe chain.  All nodes are distinct, so no
         key comparison is needed; the linear-probing reachability invariant
         holds because a node only ever steps past slots that are occupied
-        by the time the round ends."""
-        self._sync_shadow()
-        n = len(self._var)
-        var_s = self._sh_var[:n]
-        ids = np.nonzero(var_s != LEAF_LEVEL)[0].astype(np.int64)
+        by the time the round ends.
+
+        The arena columns are read through zero-copy ``frombuffer`` views,
+        dropped as soon as the hashes are gathered: a live buffer export
+        would make the next ``array.append`` raise ``BufferError``."""
+        var = np.frombuffer(self._var, dtype=np.int32)
+        lo = np.frombuffer(self._lo, dtype=np.int32)
+        hi = np.frombuffer(self._hi, dtype=np.int32)
+        ids = np.nonzero(var != LEAF_LEVEL)[0]
         mask = np.int64(cap - 1)
-        h = (self._sh_lo[ids].astype(np.int64) * 461845907
-             + self._sh_hi[ids].astype(np.int64) * 433494437
-             + var_s[ids]) & mask
+        h = (lo[ids].astype(np.int64) * 461845907
+             + hi[ids].astype(np.int64) * 433494437
+             + var[ids]) & mask
+        del var, lo, hi
         table = np.full(cap, -1, np.int32)
         done = np.zeros(ids.size, bool)
         pending = np.arange(ids.size)
@@ -393,182 +300,6 @@ class ArenaBddManager:
         out.frombytes(table.tobytes())
         self._unique = out
         self._unique_cap = cap
-
-    # ------------------------------------------------------------------
-    # Frontier-kernel support: shadow columns and batched insertion
-    # ------------------------------------------------------------------
-
-    def _shadow_ensure(self, need: int) -> None:
-        np = self._np
-        sh = self._sh_var
-        if sh is not None and sh.size >= need:
-            return
-        cap = 1024 if sh is None else sh.size
-        while cap < need:
-            cap *= 2
-        for name in ("_sh_var", "_sh_lo", "_sh_hi"):
-            old = getattr(self, name)
-            new = np.empty(cap, np.int32)
-            if old is not None and self._sh_n:
-                new[:self._sh_n] = old[:self._sh_n]
-            setattr(self, name, new)
-
-    def _sync_shadow(self) -> None:
-        """Copy the arena tail ``[synced, len)`` into the numpy shadow
-        columns.  The arena is append-only, so the synced prefix can never
-        go stale; the ``frombuffer`` views are transient (assignment
-        copies), so ``array('i').append`` is never blocked by an export."""
-        np = self._np
-        n = len(self._var)
-        self._shadow_ensure(n)
-        s = self._sh_n
-        if s < n:
-            cnt = n - s
-            off = 4 * s
-            self._sh_var[s:n] = np.frombuffer(self._var, dtype=np.int32,
-                                              offset=off, count=cnt)
-            self._sh_lo[s:n] = np.frombuffer(self._lo, dtype=np.int32,
-                                             offset=off, count=cnt)
-            self._sh_hi[s:n] = np.frombuffer(self._hi, dtype=np.int32,
-                                             offset=off, count=cnt)
-            self._sh_n = n
-
-    def _append_nodes(self, np, lvl: int, lo_ids, hi_ids):
-        """Append a batch of internal nodes, keeping arena columns and
-        shadow columns in lockstep; returns the new ids (int64)."""
-        k = int(lo_ids.size)
-        base = len(self._var)
-        var32 = np.full(k, lvl, np.int32)
-        lo32 = lo_ids.astype(np.int32)
-        hi32 = hi_ids.astype(np.int32)
-        self._var.frombytes(var32.tobytes())
-        self._lo.frombytes(lo32.tobytes())
-        self._hi.frombytes(hi32.tobytes())
-        self._shadow_ensure(base + k)
-        self._sh_var[base:base + k] = var32
-        self._sh_lo[base:base + k] = lo32
-        self._sh_hi[base:base + k] = hi32
-        self._sh_n = base + k
-        if base + k - 1 >= self._next_growth_sample:
-            self._growth_sample()
-        return np.arange(base, base + k, dtype=np.int64)
-
-    def _unique_insert_batch(self, np, lvl: int, u0, u1):
-        """Find-or-insert a batch of *distinct* ``(lo, hi)`` pairs at
-        ``lvl``; returns node ids aligned with the batch.
-
-        The table is pre-grown for the worst case so its storage stays
-        stable across the claim rounds, letting one writable
-        ``frombuffer`` view service every batched slot write.  Each round:
-        gather the pending pairs' slots; occupied slots triple-compare
-        against the shadow columns (match resolves the pair); empty slots
-        are claimed by the first pair per slot (``np.unique``) which
-        appends its node, while race losers simply continue the probe
-        chain — safe because the batch pairs are pairwise distinct."""
-        k = int(u0.size)
-        while 3 * (self._unique_n + k) > 2 * self._unique_cap:
-            self._grow_unique()
-        self._sync_shadow()
-        ut = np.frombuffer(self._unique, dtype=np.int32)
-        mask = np.int64(self._unique_cap - 1)
-        h = (u0 * 461845907 + u1 * 433494437 + lvl) & mask
-        out = np.full(k, -1, np.int64)
-        pending = np.arange(k)
-        one = np.int64(1)
-        while pending.size:
-            slots = h[pending]
-            occ = ut[slots].astype(np.int64)
-            empty = occ < 0
-            oc = pending[~empty]
-            if oc.size:
-                cand = occ[~empty]
-                match = ((self._sh_lo[cand] == u0[oc])
-                         & (self._sh_hi[cand] == u1[oc])
-                         & (self._sh_var[cand] == lvl))
-                out[oc[match]] = cand[match]
-            em = pending[empty]
-            if em.size:
-                uq, first = np.unique(slots[empty], return_index=True)
-                win = em[first]
-                ids = self._append_nodes(np, lvl, u0[win], u1[win])
-                ut[uq] = ids.astype(np.int32)
-                out[win] = ids
-                self._unique_n += win.size
-            pending = np.nonzero(out < 0)[0]
-            h[pending] = (h[pending] + one) & mask
-        return out
-
-    def _mk_level_np(self, np, lvl: int, r0, r1):
-        """Batched :meth:`mk`: reduce ``r0 == r1`` in place, dedupe the
-        remaining pairs with ``np.unique`` over packed keys, insert once.
-        Thin batches fall through to the scalar :meth:`mk` loop — the
-        vectorised probe's fixed cost only amortises past ~10² nodes."""
-        out = np.asarray(r0, dtype=np.int64).copy()
-        diff = np.nonzero(r0 != r1)[0]
-        if diff.size:
-            if diff.size < _MK_SCALAR_MAX:
-                mk = self.mk
-                out[diff] = [
-                    mk(lvl, lo, hi)
-                    for lo, hi in zip(out[diff].tolist(),
-                                      np.asarray(r1, np.int64)[diff].tolist())]
-            else:
-                pk = (out[diff] << _KEY_SHIFT) | np.asarray(r1, np.int64)[diff]
-                uq, inv = np.unique(pk, return_inverse=True)
-                ids = self._unique_insert_batch(
-                    np, lvl, uq >> _KEY_SHIFT, uq & np.int64(_KEY_MASK))
-                out[diff] = ids[inv]
-        return out
-
-    def _frontier_worthy(self, root: int) -> bool:
-        """Is ``root`` shaped so that a frontier pass beats the scalar
-        kernel?  Two statistics decide: total node count must reach
-        ``NV_BDD_FRONTIER_MIN`` *and* average level width must reach
-        ``NV_BDD_FRONTIER_WIDTH`` — a pass pays its fixed numpy cost per
-        level, so width, not size, is what it amortises against.  A capped
-        DFS settles each statistic once per root (the arena is
-        append-only, so a root's sub-DAG never changes)."""
-        fm = self._frontier_min
-        if fm <= 0:
-            return True
-        big = self._size_class.get(root)
-        if big is None:
-            big = self._shape_worthy(root, fm, self._frontier_width)
-            self._size_class[root] = big
-        return big
-
-    def _shape_worthy(self, root: int, fm: int, wm: int) -> bool:
-        """One DFS deciding both statistics, cost-capped: stop (worthy) as
-        soon as visited nodes cross both the node floor and ``wm ×
-        levels-seen`` — a moving bar that only rises, so at most ``max(fm,
-        wm × levels) + 1`` nodes are ever touched.  An exhausted DFS has
-        the exact count and level set, so small or thin diagrams classify
-        exactly."""
-        var_a, lo_a, hi_a = self._var, self._lo, self._hi
-        seen = {root}
-        levels: set[int] = set()
-        stack = [root]
-        push = stack.append
-        pop = stack.pop
-        add = seen.add
-        ladd = levels.add
-        while stack:
-            n = pop()
-            if var_a[n] != LEAF_LEVEL:
-                ladd(var_a[n])
-                c = lo_a[n]
-                if c not in seen:
-                    add(c)
-                    push(c)
-                c = hi_a[n]
-                if c not in seen:
-                    add(c)
-                    push(c)
-                if len(seen) >= fm and (
-                        wm <= 0 or len(seen) >= wm * len(levels)):
-                    return True
-        return len(seen) >= fm and (
-            wm <= 0 or len(seen) >= wm * len(levels))
 
     def var(self, level: int) -> int:
         return self.mk(level, self.false, self.true)
@@ -950,15 +681,6 @@ class ArenaBddManager:
         """Map ``fn`` over every leaf of ``root`` (invoked once per distinct
         leaf; ``memo`` is keyed by node id and shareable across calls with
         the same ``fn``)."""
-        np = self._np
-        if np is not None and self._frontier_worthy(root):
-            # apply1 is the degenerate map_ite with pred == true: the seed
-            # lands directly in the fn_true branch family, whose memo *is*
-            # this memo (same node-id keying as the scalar kernel).
-            return self._map_pass(
-                np, [(fn, None, {}, {} if memo is None else memo, {},
-                      [(self.true, root)])])[0][0]
-        self.frontier_scalar_ops += 1
         if memo is None:
             memo = {}
         var_a = self._var
@@ -1029,12 +751,6 @@ class ArenaBddManager:
         """Combine two diagrams leaf-wise with ``fn``.  ``memo`` is keyed by
         the packed pair ``(x << 30) | y``; share it only between calls with
         the same ``fn``."""
-        np = self._np
-        if np is not None and (self._frontier_worthy(a)
-                               or self._frontier_worthy(b)):
-            return self._apply2_pass(
-                np, [(fn, {} if memo is None else memo, [(a, b)])])[0][0]
-        self.frontier_scalar_ops += 1
         if memo is None:
             memo = {}
         key0 = (a << _KEY_SHIFT) | b
@@ -1194,228 +910,6 @@ class ArenaBddManager:
         self.apply_misses += misses
         return results[0]
 
-    def apply2_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply2`: ``items`` holds ``(fn, a, b, memo)``
-        tuples.  Items that share a ``memo`` dict must share ``fn`` (the
-        memo *is* the group identity); ``memo=None`` items get a private
-        memo each.  When the vectorised path is active, all items fuse
-        into shared frontier passes (≤ 8 groups per pass — one dedup
-        domain per group, one level-synchronisation domain per pass);
-        otherwise this is a plain scalar loop.  Returns result roots
-        aligned with ``items``."""
-        items = list(items)
-        np = self._np
-        if np is None or not items or not any(
-                self._frontier_worthy(a) or self._frontier_worthy(b)
-                for _fn, a, b, _m in items):
-            return [self.apply2(fn, a, b, memo) for fn, a, b, memo in items]
-        w = len(items)
-        self._batch_width_counts[w] = self._batch_width_counts.get(w, 0) + 1
-        results: list[int | None] = [None] * w
-        order: dict[Any, int] = {}
-        gitems: list[tuple] = []
-        for pos, (fn, a, b, memo) in enumerate(items):
-            gk: Any = id(memo) if memo is not None else ("solo", pos)
-            gi = order.get(gk)
-            if gi is None:
-                gi = len(gitems)
-                order[gk] = gi
-                gitems.append((fn, memo if memo is not None else {}, []))
-            gitems[gi][2].append((pos, a, b))
-        for start in range(0, len(gitems), _GROUP_MAX):
-            chunk = gitems[start:start + _GROUP_MAX]
-            outs = self._apply2_pass(
-                np, [(fn, memo, [(a, b) for _p, a, b in pairs])
-                     for fn, memo, pairs in chunk])
-            for (_fn, _memo, pairs), rs in zip(chunk, outs):
-                for (pos, _a, _b), r in zip(pairs, rs):
-                    results[pos] = r
-        return results  # type: ignore[return-value]
-
-    def _apply2_pass(self, np, groups: list[tuple]) -> list[list[int]]:
-        """One level-synchronous frontier pass over ≤ ``_GROUP_MAX`` apply2
-        groups (``(fn, memo, [(a, b), ...])`` each).
-
-        Phases: *discover* seeds and expansion children into a task table
-        (dedup via ``np.unique`` over packed group|pair keys, memo served
-        at discovery with one dict probe per distinct pair); *expand* the
-        pending frontier one level at a time, ascending (children always
-        sit at strictly higher levels), with vectorised cofactor gathers
-        into the shadow columns; *leaf-combine* the distinct leaf pairs
-        through the Python callbacks (the semantic boundary — re-entrant
-        callbacks are safe because all pass state is function-local and
-        shadow/unique views are re-fetched afterwards); *rebuild* bottom-up
-        with batched unique-table insertion; *write back* one memo entry
-        per miss, exactly like the scalar kernel."""
-        int64 = np.int64
-        KS = _KEY_SHIFT
-        GS = _GROUP_SHIFT
-        self.frontier_passes += 1
-        self._sync_shadow()
-        var_s, lo_s, hi_s = self._sh_var, self._sh_lo, self._sh_hi
-        T = _TaskTable(np)
-        index: dict[int, int] = {}      # packed key -> task index
-        pend: dict[int, list] = {}
-        expanded: dict[int, list] = {}
-        leaf_chunks: list = []
-        wb_chunks: list = []
-        hits = 0
-        misses = 0
-        single = len(groups) == 1
-        memo_gets = [memo.get for _fn, memo, _pairs in groups]
-
-        def discover(new_keys):
-            """Append tasks for distinct unseen keys (first-occurrence
-            order); memo hits resolve immediately, misses bucket by level
-            (or leaf)."""
-            nonlocal hits, misses
-            k = new_keys.size
-            g = new_keys >> GS
-            pk = new_keys & _GROUP_KEY_MASK
-            a = pk >> KS
-            b = pk & _KEY_MASK
-            if single:
-                mget = memo_gets[0]
-                vals = [mget(x) for x in pk.tolist()]
-            else:
-                vals = [memo_gets[gi](x)
-                        for gi, x in zip(g.tolist(), pk.tolist())]
-            res = np.fromiter((-1 if v is None else v for v in vals),
-                              int64, k)
-            base = T.n
-            T.grow_to(base + k)
-            T.a[base:base + k] = a
-            T.b[base:base + k] = b
-            T.g[base:base + k] = g
-            T.res[base:base + k] = res
-            T.n = base + k
-            idx = np.arange(base, base + k, dtype=int64)
-            hit = res >= 0
-            nh = int(hit.sum())
-            hits += nh
-            misses += k - nh
-            lm = ~hit
-            if lm.any():
-                midx = idx[lm]
-                lv = np.minimum(var_s[a[lm]], var_s[b[lm]])
-                lf = lv == LEAF_LEVEL  # both operands leaves
-                if lf.any():
-                    leaf_chunks.append(midx[lf])
-                il = ~lf
-                if il.any():
-                    lv2 = lv[il]
-                    mi2 = midx[il]
-                    for L in np.unique(lv2).tolist():
-                        pend.setdefault(L, []).append(mi2[lv2 == L])
-                wb_chunks.append(midx)
-            return idx
-
-        def resolve(refs):
-            """Map packed keys to task indices, discovering new tasks and
-            counting memo-style hits for duplicate/known references (the
-            scalar kernel's re-probe accounting).  The key→task index is a
-            plain dict: frontier widths on real control planes (~10²) make
-            a sorted-array index's per-level maintenance the bottleneck,
-            while dict probes stay O(1) per reference.  A first occurrence
-            leaves a negative placeholder so in-batch duplicates count as
-            hits without a second dedup pass."""
-            nonlocal hits
-            get = index.get
-            newk: list[int] = []
-            out = [0] * refs.size
-            h = 0
-            for j, key in enumerate(refs.tolist()):
-                t = get(key)
-                if t is None:
-                    index[key] = t = -len(newk) - 1
-                    newk.append(key)
-                else:
-                    h += 1
-                out[j] = t
-            hits += h
-            o = np.fromiter(out, int64, len(out))
-            if newk:
-                ids = discover(np.fromiter(newk, int64, len(newk)))
-                for key, ti in zip(newk, ids.tolist()):
-                    index[key] = ti
-                neg = o < 0
-                o[neg] = ids[-o[neg] - 1]
-            return o
-
-        seed_idx = []
-        for gi, (_fn, _memo, pairs) in enumerate(groups):
-            g64 = int64(gi) << GS
-            pa = np.fromiter((p[0] for p in pairs), int64, len(pairs))
-            pb = np.fromiter((p[1] for p in pairs), int64, len(pairs))
-            seed_idx.append(resolve(g64 | (pa << KS) | pb))
-
-        while pend:
-            lvl = min(pend)
-            F = np.concatenate(pend.pop(lvl))
-            self.frontier_levels += 1
-            w = int(F.size)
-            self._frontier_width_counts[w] = \
-                self._frontier_width_counts.get(w, 0) + 1
-            expanded.setdefault(lvl, []).append(F)
-            a = T.a[F].astype(int64)
-            b = T.b[F].astype(int64)
-            ga = T.g[F].astype(int64) << GS
-            asp = var_s[a] == lvl
-            bsp = var_s[b] == lvl
-            a0 = np.where(asp, lo_s[a], a)
-            a1 = np.where(asp, hi_s[a], a)
-            b0 = np.where(bsp, lo_s[b], b)
-            b1 = np.where(bsp, hi_s[b], b)
-            refs = np.concatenate((ga | (a0 << KS) | b0,
-                                   ga | (a1 << KS) | b1))
-            ridx = resolve(refs)
-            T.lo[F] = ridx[:w]
-            T.hi[F] = ridx[w:]
-
-        if leaf_chunks:
-            L = np.concatenate(leaf_chunks)
-            lo_arr = self._lo
-            leaf_values = self._leaf_values
-            leaf = self.leaf
-            fns = [fn for fn, _memo, _pairs in groups]
-            if single:
-                f0 = fns[0]
-                res = [leaf(f0(leaf_values[lo_arr[ai]],
-                               leaf_values[lo_arr[bi]]))
-                       for ai, bi in zip(T.a[L].tolist(), T.b[L].tolist())]
-            else:
-                res = [leaf(fns[gi](leaf_values[lo_arr[ai]],
-                                    leaf_values[lo_arr[bi]]))
-                       for gi, ai, bi in zip(T.g[L].tolist(),
-                                             T.a[L].tolist(),
-                                             T.b[L].tolist())]
-            T.res[L] = np.array(res, int64) if res else 0
-            # The callbacks may have re-entered the manager (merge
-            # functions over map-valued routes build nodes, the PR 6
-            # rehash-under-callback class): re-sync before rebuilding.
-            self._sync_shadow()
-
-        for lvl in sorted(expanded, reverse=True):
-            F = np.concatenate(expanded[lvl])
-            T.res[F] = self._mk_level_np(np, lvl, T.res[T.lo[F]],
-                                         T.res[T.hi[F]])
-
-        if wb_chunks:
-            W = np.concatenate(wb_chunks)
-            pk = (T.a[W].astype(int64) << KS) | T.b[W]
-            if single:
-                groups[0][1].update(zip(pk.tolist(), T.res[W].tolist()))
-            else:
-                memos = [memo for _fn, memo, _pairs in groups]
-                for gi, ki, ri in zip(T.g[W].tolist(), pk.tolist(),
-                                      T.res[W].tolist()):
-                    memos[gi][ki] = ri
-
-        self.apply_hits += hits
-        self.apply_misses += misses
-        self.frontier_tasks += T.n
-        return [T.res[idx].tolist() for idx in seed_idx]
-
     def map_ite(self, pred: int, fn_true: Callable[[Any], Any],
                 fn_false: Callable[[Any], Any], root: int,
                 memo: dict[int, int] | None = None,
@@ -1428,16 +922,6 @@ class ArenaBddManager:
         function pair — the simulator applies the same route policies every
         round, so cross-call sharing turns repeat rounds into cache hits.
         """
-        np = self._np
-        if np is not None and (self._frontier_worthy(root)
-                               or self._frontier_worthy(pred)):
-            return self._map_pass(
-                np, [(fn_true, fn_false,
-                      {} if memo is None else memo,
-                      {} if memo_true is None else memo_true,
-                      {} if memo_false is None else memo_false,
-                      [(pred, root)])])[0][0]
-        self.frontier_scalar_ops += 1
         if memo is None:
             memo = {}
         if memo_true is None:
@@ -1603,330 +1087,6 @@ class ArenaBddManager:
         self.apply_hits += hits
         self.apply_misses += misses
         return out
-
-    def apply1_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply1`: ``items`` holds ``(fn, root, memo)``
-        tuples; same grouping contract as :meth:`apply2_many` (shared memo
-        dict implies shared ``fn``)."""
-        items = list(items)
-        np = self._np
-        if np is None or not items or not any(
-                self._frontier_worthy(r) for _fn, r, _m in items):
-            return [self.apply1(fn, root, memo) for fn, root, memo in items]
-        true = self.true
-        return self._map_many(
-            np, [(true, fn, None, root, None, memo, None)
-                 for fn, root, memo in items])
-
-    def map_ite_many(self, items: list) -> list[int]:
-        """Batched :meth:`map_ite`: ``items`` holds ``(pred, fn_true,
-        fn_false, root, memo, memo_true, memo_false)`` tuples.  Items
-        sharing a ``memo`` dict must share the function pair and branch
-        memos; preds may differ per item (the fault driver's per-edge
-        scenario restrictions do)."""
-        items = list(items)
-        np = self._np
-        if np is None or not items or not any(
-                self._frontier_worthy(r) or self._frontier_worthy(p)
-                for p, _ft, _ff, r, _m, _mt, _mf in items):
-            return [self.map_ite(p, ft, ff, r, m, mt, mf)
-                    for p, ft, ff, r, m, mt, mf in items]
-        return self._map_many(np, items)
-
-    def _map_many(self, np, items: list) -> list[int]:
-        """Group ``(pred, fn_true, fn_false, root, memo, memo_true,
-        memo_false)`` items by memo identity and run ≤ ``_GROUP_MAX``-group
-        frontier passes."""
-        w = len(items)
-        self._batch_width_counts[w] = self._batch_width_counts.get(w, 0) + 1
-        results: list[int | None] = [None] * w
-        order: dict[Any, int] = {}
-        gitems: list[tuple] = []
-        for pos, (pred, ft, ff, root, memo, mt, mf) in enumerate(items):
-            if memo is not None:
-                gk: Any = id(memo)
-            elif ff is None and mt is not None:
-                # apply1-sourced item: the branch memo is the identity.
-                gk = ("a1", id(mt))
-            else:
-                gk = ("solo", pos)
-            gi = order.get(gk)
-            if gi is None:
-                gi = len(gitems)
-                order[gk] = gi
-                gitems.append((ft, ff,
-                               memo if memo is not None else {},
-                               mt if mt is not None else {},
-                               mf if mf is not None else {}, []))
-            gitems[gi][5].append((pos, pred, root))
-        for start in range(0, len(gitems), _GROUP_MAX):
-            chunk = gitems[start:start + _GROUP_MAX]
-            outs = self._map_pass(
-                np, [(ft, ff, memo, mt, mf,
-                      [(pred, root) for _pos, pred, root in seeds])
-                     for ft, ff, memo, mt, mf, seeds in chunk])
-            for (_ft, _ff, _m, _mt, _mf, seeds), rs in zip(chunk, outs):
-                for (pos, _pred, _root), r in zip(seeds, rs):
-                    results[pos] = r
-        return results  # type: ignore[return-value]
-
-    def _map_pass(self, np, groups: list[tuple]) -> list[list[int]]:
-        """Level-synchronous kernel behind ``apply1``/``map_ite`` (see
-        :meth:`_apply2_pass` for the phase structure).
-
-        ``groups`` entries are ``(fn_true, fn_false, memo, memo_true,
-        memo_false, seeds)`` with ``seeds = [(pred, root), ...]``.  Three
-        task families share one pass: family 0 is the pred×map product
-        (probed/written against ``memo``, packed ``(pred << 30) | node``
-        keys), families 1/2 are the fn_true/fn_false apply1 branches
-        (node-id keys against ``memo_true``/``memo_false`` — the same
-        tables plain ``apply1`` calls of the same closure share, so branch
-        work stays deduped across the whole workload exactly as in the
-        scalar kernel).  A product task whose pred cofactor hits
-        true/false hands its child to the corresponding branch family,
-        mirroring the scalar ``rec``/``rec_t``/``rec_f`` dispatch."""
-        int64 = np.int64
-        KS = _KEY_SHIFT
-        GS = _GROUP_SHIFT
-        RS = _REF_SHIFT
-        self.frontier_passes += 1
-        self._sync_shadow()
-        var_s, lo_s, hi_s = self._sh_var, self._sh_lo, self._sh_hi
-        true = self.true
-        false = self.false
-        tabs = (_TaskTable(np), _TaskTable(np), _TaskTable(np))
-        indexes: tuple[dict, ...] = ({}, {}, {})  # per-family key -> task
-        pend: dict[int, list] = {}           # level -> [(family, chunk)]
-        expanded: dict[int, dict] = {}       # level -> {family: [chunks]}
-        leaf_chunks: list[list] = [[], []]   # family 1 / family 2
-        wb_chunks: list[list] = [[], [], []]
-        fwd_chunks: list = []                # fam-0 true/false-pred aliases
-        hits = 0
-        misses = 0
-        single = len(groups) == 1
-        gets = ([g[2].get for g in groups],
-                [g[3].get for g in groups],
-                [g[4].get for g in groups])
-
-        def discover(fam, new_keys):
-            nonlocal hits, misses
-            T = tabs[fam]
-            k = new_keys.size
-            g = new_keys >> GS
-            pk = new_keys & _GROUP_KEY_MASK
-            fam_gets = gets[fam]
-            if fam == 0:
-                a = pk >> KS        # pred node
-                b = pk & _KEY_MASK  # map node
-            else:
-                a = pk              # map node
-                b = np.zeros(k, int64)
-            if single:
-                mget = fam_gets[0]
-                vals = [mget(x) for x in pk.tolist()]
-            else:
-                vals = [fam_gets[gi](x)
-                        for gi, x in zip(g.tolist(), pk.tolist())]
-            res = np.fromiter((-1 if v is None else v for v in vals),
-                              int64, k)
-            base = T.n
-            T.grow_to(base + k)
-            T.a[base:base + k] = a
-            T.b[base:base + k] = b
-            T.g[base:base + k] = g
-            T.res[base:base + k] = res
-            T.n = base + k
-            idx = np.arange(base, base + k, dtype=int64)
-            hit = res >= 0
-            if fam:
-                # Only the branch families count: the scalar map_ite
-                # kernel attributes hits/misses to rec_t/rec_f alone.
-                nh = int(hit.sum())
-                hits += nh
-                misses += k - nh
-            lm = ~hit
-            if lm.any():
-                midx = idx[lm]
-                if fam == 0:
-                    # A true/false pred makes the product key an *alias*
-                    # of a branch-family task: delegate on the first
-                    # reference (that is when the scalar kernel probes the
-                    # branch memo and counts), absorb repeats silently via
-                    # this fam-0 entry, exactly like scalar ``memo``.
-                    al, bl, gl = a[lm], b[lm], g[lm]
-                    is_t = al == true
-                    is_f = al == false
-                    fwd = is_t | is_f
-                    if fwd.any():
-                        for f, msk in ((1, is_t), (2, is_f)):
-                            if msk.any():
-                                T.lo[midx[msk]] = resolve(
-                                    f, (gl[msk] << GS) | bl[msk])
-                        fwd_chunks.append(midx[fwd])
-                    il = ~fwd
-                    if il.any():
-                        lv = np.minimum(var_s[al[il]], var_s[bl[il]])
-                        mi2 = midx[il]
-                        for L in np.unique(lv).tolist():
-                            pend.setdefault(L, []).append(
-                                (0, mi2[lv == L]))
-                else:
-                    lv = var_s[a[lm]]
-                    lf = lv == LEAF_LEVEL
-                    if lf.any():
-                        leaf_chunks[fam - 1].append(midx[lf])
-                    il = ~lf
-                    if il.any():
-                        lv2 = lv[il]
-                        mi2 = midx[il]
-                        for L in np.unique(lv2).tolist():
-                            pend.setdefault(L, []).append(
-                                (fam, mi2[lv2 == L]))
-                wb_chunks[fam].append(midx)
-            return idx
-
-        def resolve(fam, refs):
-            # Dict-backed key→task index with in-batch placeholder dedup —
-            # see :meth:`_apply2_pass`'s resolve for the rationale.  Only
-            # the branch families count hits (scalar map_ite attributes
-            # hits/misses to rec_t/rec_f alone).
-            nonlocal hits
-            get = indexes[fam].get
-            index = indexes[fam]
-            newk: list[int] = []
-            out = [0] * refs.size
-            h = 0
-            for j, key in enumerate(refs.tolist()):
-                t = get(key)
-                if t is None:
-                    index[key] = t = -len(newk) - 1
-                    newk.append(key)
-                else:
-                    h += 1
-                out[j] = t
-            if fam:
-                hits += h
-            o = np.fromiter(out, int64, len(out))
-            if newk:
-                ids = discover(fam, np.fromiter(newk, int64, len(newk)))
-                for key, ti in zip(newk, ids.tolist()):
-                    index[key] = ti
-                neg = o < 0
-                o[neg] = ids[-o[neg] - 1]
-            return (int64(fam) << RS) | o
-
-        seed_refs = []
-        for gi, (_ft, _ff, _m, _mt, _mf, seeds) in enumerate(groups):
-            g64 = int64(gi) << GS
-            p = np.fromiter((s[0] for s in seeds), int64, len(seeds))
-            r = np.fromiter((s[1] for s in seeds), int64, len(seeds))
-            if _ff is None:
-                # apply1-sourced group: the scalar kernel probes the
-                # branch memo per call (counting hits), so seeds resolve
-                # directly in family 1 — no product alias.
-                seed_refs.append(resolve(1, g64 | r))
-            else:
-                seed_refs.append(resolve(0, g64 | (p << KS) | r))
-
-        while pend:
-            lvl = min(pend)
-            buckets = pend.pop(lvl)
-            self.frontier_levels += 1
-            wtot = sum(int(c.size) for _f, c in buckets)
-            self._frontier_width_counts[wtot] = \
-                self._frontier_width_counts.get(wtot, 0) + 1
-            byfam: dict[int, list] = {}
-            for f, c in buckets:
-                byfam.setdefault(f, []).append(c)
-            for f, cl in byfam.items():
-                F = np.concatenate(cl)
-                expanded.setdefault(lvl, {}).setdefault(f, []).append(F)
-                T = tabs[f]
-                g64 = T.g[F].astype(int64) << GS
-                if f == 0:
-                    p = T.a[F].astype(int64)
-                    m = T.b[F].astype(int64)
-                    psp = var_s[p] == lvl
-                    msp = var_s[m] == lvl
-                    p0 = np.where(psp, lo_s[p], p)
-                    p1 = np.where(psp, hi_s[p], p)
-                    m0 = np.where(msp, lo_s[m], m)
-                    m1 = np.where(msp, hi_s[m], m)
-                    T.lo[F] = resolve(0, g64 | (p0 << KS) | m0)
-                    T.hi[F] = resolve(0, g64 | (p1 << KS) | m1)
-                else:
-                    m = T.a[F].astype(int64)
-                    T.lo[F] = resolve(f, g64 | lo_s[m])
-                    T.hi[F] = resolve(f, g64 | hi_s[m])
-
-        lo_arr = self._lo
-        leaf_values = self._leaf_values
-        leaf = self.leaf
-        for fam in (1, 2):
-            chunks = leaf_chunks[fam - 1]
-            if not chunks:
-                continue
-            T = tabs[fam]
-            L = np.concatenate(chunks)
-            fns = [g[fam - 1] for g in groups]
-            res = [leaf(fns[gi](leaf_values[lo_arr[mi]]))
-                   for gi, mi in zip(T.g[L].tolist(), T.a[L].tolist())]
-            T.res[L] = np.array(res, int64) if res else 0
-        # Callbacks may have re-entered the manager: re-sync before the
-        # bottom-up rebuild batches hit the unique table.
-        self._sync_shadow()
-
-        def res_of(refs):
-            fam = refs >> RS
-            idx = refs & _REF_MASK
-            out = np.empty(refs.size, int64)
-            for f in (0, 1, 2):
-                m = fam == f
-                if m.any():
-                    out[m] = tabs[f].res[idx[m]]
-            # Fam-0 alias tasks delegate to their branch-family child
-            # (always resolved first: the branch root sits strictly below
-            # the aliasing product's level, or in the leaf phase).
-            bad = out < 0
-            if bad.any():
-                out[bad] = res_of(tabs[0].lo[idx[bad]])
-            return out
-
-        for lvl in sorted(expanded, reverse=True):
-            for f, cl in expanded[lvl].items():
-                T = tabs[f]
-                F = np.concatenate(cl)
-                T.res[F] = self._mk_level_np(np, lvl, res_of(T.lo[F]),
-                                             res_of(T.hi[F]))
-
-        if fwd_chunks:
-            T0 = tabs[0]
-            FW = np.concatenate(fwd_chunks)
-            T0.res[FW] = res_of(T0.lo[FW])
-
-        for fam in (0, 1, 2):
-            chunks = wb_chunks[fam]
-            if not chunks:
-                continue
-            T = tabs[fam]
-            W = np.concatenate(chunks)
-            if fam == 0:
-                pk = (T.a[W].astype(int64) << KS) | T.b[W]
-            else:
-                pk = T.a[W].astype(int64)
-            if single:
-                groups[0][2 + fam].update(zip(pk.tolist(),
-                                              T.res[W].tolist()))
-            else:
-                memos = [g[2 + fam] for g in groups]
-                for gi, ki, ri in zip(T.g[W].tolist(), pk.tolist(),
-                                      T.res[W].tolist()):
-                    memos[gi][ki] = ri
-
-        self.apply_hits += hits
-        self.apply_misses += misses
-        self.frontier_tasks += tabs[0].n + tabs[1].n + tabs[2].n
-        return [res_of(refs).tolist() for refs in seed_refs]
 
     # ------------------------------------------------------------------
     # Path evaluation
@@ -2203,15 +1363,10 @@ class ArenaBddManager:
 
     def clear_caches(self) -> None:
         """Drop operation memo tables and their load counters.  Unique and
-        leaf tables are untouched, so hash-consed node identity survives.
-        The frontier scratch state (shadow columns, size classes) is also
-        dropped and rebuilt lazily by the next vectorised pass."""
+        leaf tables are untouched, so hash-consed node identity survives."""
         self._init_op_caches()
         self._satcount_cache.clear()
         self._leaf_groups_memo.clear()
-        self._sh_var = self._sh_lo = self._sh_hi = None
-        self._sh_n = 0
-        self._size_class.clear()
         for hook in self._clear_hooks:
             hook()
 
@@ -2236,10 +1391,6 @@ class ArenaBddManager:
             "op_cache_misses": self.op_misses,
             "apply_cache_hits": self.apply_hits,
             "apply_cache_misses": self.apply_misses,
-            "frontier.passes": self.frontier_passes,
-            "frontier.tasks": self.frontier_tasks,
-            "frontier.levels": self.frontier_levels,
-            "frontier.scalar_ops": self.frontier_scalar_ops,
         }
 
     # ------------------------------------------------------------------
@@ -2294,12 +1445,6 @@ class ArenaBddManager:
             f"{name}_probe_len": _telemetry.histogram_from_counts(c)
             for name, c in self.probe_length_counts().items() if c
         }
-        if self._frontier_width_counts:
-            hists["frontier_width"] = _telemetry.histogram_from_counts(
-                self._frontier_width_counts)
-        if self._batch_width_counts:
-            hists["batch_width"] = _telemetry.histogram_from_counts(
-                self._batch_width_counts)
         return counters, hists
 
 

@@ -537,27 +537,6 @@ class BddManager:
                 emit(r)
         return results[0]
 
-    # ------------------------------------------------------------------
-    # Multi-root batch API (scalar loops — the executable spec for the
-    # arena engine's fused frontier passes; see ArenaBddManager)
-    # ------------------------------------------------------------------
-
-    def apply1_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply1` over ``(fn, root, memo)`` tuples.  The
-        object engine runs them sequentially; results align with items."""
-        return [self.apply1(fn, root, memo) for fn, root, memo in items]
-
-    def apply2_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply2` over ``(fn, a, b, memo)`` tuples.  Items
-        sharing a ``memo`` dict must share ``fn``."""
-        return [self.apply2(fn, a, b, memo) for fn, a, b, memo in items]
-
-    def map_ite_many(self, items: list) -> list[int]:
-        """Batched :meth:`map_ite` over ``(pred, fn_true, fn_false, root,
-        memo, memo_true, memo_false)`` tuples."""
-        return [self.map_ite(p, ft, ff, r, m, mt, mf)
-                for p, ft, ff, r, m, mt, mf in items]
-
     def restrict_eval(self, root: int, assignment: Callable[[int], bool]) -> Any:
         """Evaluate a diagram under a total assignment of variables.
 

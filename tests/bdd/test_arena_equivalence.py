@@ -10,12 +10,10 @@ observable: canonical snapshots (byte-identical blobs + leaf lists),
 and leaf multisets.  Engine variants with ``op_cache_limit=1`` and with
 ``clear_caches`` interleaved mid-run must stay equivalent too (memo tables
 are semantically transparent), as must the arena's pure-``array`` fallback
-when numpy is disabled via ``NV_BDD_NUMPY=0`` and the forced
-level-synchronous vectorised configuration (``NV_BDD_FRONTIER_MIN=0``).
-Programs interleave single-root ops with the multi-root batched forms
-(``apply1_many`` / ``apply2_many`` / ``map_ite_many``), in both the
-shared-memo and private-memo groupings.
+when numpy is disabled via ``NV_BDD_NUMPY=0``.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -59,18 +57,6 @@ _op = st.one_of(
               st.lists(st.booleans(), min_size=NUM_VARS, max_size=NUM_VARS),
               _values),
     st.tuples(st.just("mk"), _levels, _idx, _idx),
-    # Multi-root batched ops, interleaved freely with the single-root ones
-    # above.  The trailing boolean picks shared-memo grouping (one memo
-    # dict across the batch — the fault driver's usage) vs memo=None
-    # (private memo per item).
-    st.tuples(st.just("apply1_many"), _fn1,
-              st.lists(_idx, min_size=1, max_size=4), st.booleans()),
-    st.tuples(st.just("apply2_many"), _fn2,
-              st.lists(st.tuples(_idx, _idx), min_size=1, max_size=4),
-              st.booleans()),
-    st.tuples(st.just("map_ite_many"), _fn1, _fn1,
-              st.lists(st.tuples(_idx, _idx), min_size=1, max_size=3),
-              st.booleans()),
 )
 _programs = st.lists(_op, min_size=1, max_size=24)
 
@@ -118,24 +104,6 @@ def _run(mgr, program, clear_every=None):
             maps.append(mgr.set_path(maps[op[1] % len(maps)],
                                      list(enumerate(op[2])),
                                      mgr.leaf(op[3])))
-        elif kind == "apply1_many":
-            fn = FN1[op[1]]
-            memo = {} if op[3] else None
-            maps.extend(mgr.apply1_many(
-                [(fn, maps[i % len(maps)], memo) for i in op[2]]))
-        elif kind == "apply2_many":
-            fn = FN2[op[1]]
-            memo = {} if op[3] else None
-            maps.extend(mgr.apply2_many(
-                [(fn, maps[i % len(maps)], maps[j % len(maps)], memo)
-                 for i, j in op[2]]))
-        elif kind == "map_ite_many":
-            ft, ff = FN1[op[1]], FN1[op[2]]
-            # Shared memos require a shared function pair; preds vary freely.
-            m, mt, mf = ({}, {}, {}) if op[4] else (None, None, None)
-            maps.extend(mgr.map_ite_many(
-                [(bools[p % len(bools)], ft, ff, maps[r % len(maps)],
-                  m, mt, mf) for p, r in op[3]]))
         elif kind == "mk":
             lvl = op[1]
             lo = maps[op[2] % len(maps)]
@@ -215,90 +183,6 @@ def test_numpy_fallback_matches(program):
             os.environ["NV_BDD_NUMPY"] = old
 
 
-def _vectorized_arena(**kwargs):
-    """An arena manager whose frontier threshold is forced to 0, so every
-    apply/map — single-root and batched — takes the level-synchronous
-    vectorised path regardless of diagram size."""
-    import os
-    old = os.environ.get("NV_BDD_FRONTIER_MIN")
-    os.environ["NV_BDD_FRONTIER_MIN"] = "0"
-    try:
-        return ArenaBddManager(**kwargs)
-    finally:
-        if old is None:
-            os.environ.pop("NV_BDD_FRONTIER_MIN", None)
-        else:
-            os.environ["NV_BDD_FRONTIER_MIN"] = old
-
-
-@settings(max_examples=40, deadline=None)
-@given(_programs)
-def test_vectorized_arena_matches_object_engine(program):
-    _check(program, BddManager(), _vectorized_arena())
-
-
-@settings(max_examples=20, deadline=None)
-@given(_programs)
-def test_vectorized_survives_cache_limit_one(program):
-    # Frontier passes seed their task tables from the per-op memo; a
-    # one-entry cache must only cost speed, never change a snapshot.
-    _check(program, BddManager(), _vectorized_arena(op_cache_limit=1))
-
-
-@settings(max_examples=20, deadline=None)
-@given(_programs)
-def test_vectorized_survives_mid_run_clear_caches(program):
-    _check(program, BddManager(), _vectorized_arena(), clear_every=3)
-
-
-def test_many_reentrant_callback_under_batched_insertion():
-    """Batched insertion meets a re-entrant combine callback: while a
-    forced-vectorised ``apply2_many`` pass is resolving its leaf tasks, the
-    callback mints hundreds of fresh nodes (forcing unique-table rehashes
-    mid-pass) and runs a nested ``apply1`` on the same manager.  The pass's
-    batched ``mk`` phase must then probe the live post-rehash table —
-    anything less mints duplicate ids and breaks hash-consing."""
-    import itertools
-
-    mgr = _vectorized_arena()
-    tags = itertools.count()
-
-    def fn(a, b):
-        for _ in range(400):
-            mgr.mk(5, mgr.false, mgr.leaf(("pad", next(tags))))
-        inner = mgr.mk(4, mgr.leaf("i0"), mgr.leaf("i1"))
-        mgr.apply1(lambda v: ("inner", v), inner)  # nested vectorised pass
-        return (a, b)
-
-    def build(m):
-        m1 = m.mk(0, m.leaf("x0"), m.mk(1, m.leaf("x1"), m.leaf("x2")))
-        m2 = m.mk(0, m.leaf("y0"), m.mk(1, m.leaf("y1"), m.leaf("y2")))
-        m3 = m.mk(2, m.leaf("z0"), m.leaf("z1"))
-        return m1, m2, m3
-
-    m1, m2, m3 = build(mgr)
-    memo: dict = {}
-    r1, r2 = mgr.apply2_many([(fn, m1, m2, memo), (fn, m2, m3, memo)])
-    # A cold-memo rerun must reuse the consed nodes, not re-mint them.
-    assert mgr.apply2_many([(fn, m1, m2, None), (fn, m2, m3, None)]) \
-        == [r1, r2]
-    # Global canonicity: no two internal nodes share a (level, lo, hi).
-    seen: dict = {}
-    for n in range(mgr.size()):
-        if not mgr.is_leaf(n):
-            key = (mgr.level(n), mgr.lo(n), mgr.hi(n))
-            assert key not in seen, \
-                f"duplicate nodes {seen[key]} and {n} for {key}"
-            seen[key] = n
-    # And both results match the object-engine spec structurally.
-    spec = BddManager()
-    s1, s2, s3 = build(spec)
-    expect = spec.apply2_many([(lambda a, b: (a, b), s1, s2, None),
-                               (lambda a, b: (a, b), s2, s3, None)])
-    assert mgr.snapshot(r1) == spec.snapshot(expect[0])
-    assert mgr.snapshot(r2) == spec.snapshot(expect[1])
-
-
 def test_apply2_reentrant_callback_keeps_canonicity():
     """A combine callback may re-enter the manager (merge functions over
     map-valued routes build nodes mid-apply2).  If that forces a
@@ -344,15 +228,100 @@ def test_apply2_reentrant_callback_keeps_canonicity():
     assert mgr.snapshot(r) == spec.snapshot(s)
 
 
+def _full_map(mgr, levels, tag):
+    """A complete diagram over ``levels`` with one distinct leaf per path."""
+    nodes = [mgr.leaf((tag, i)) for i in range(1 << len(levels))]
+    for lvl in reversed(levels):
+        nodes = [mgr.mk(lvl, nodes[i], nodes[i + 1])
+                 for i in range(0, len(nodes), 2)]
+    return nodes[0]
+
+
+def _grow_past_rehash_cutoff(mgr, rehashes=None):
+    """``apply2`` of two complete 6-level maps (4096 leaf pairs, ~8k result
+    nodes), whose combine callback re-enters the manager and mints two
+    fresh nodes per call, so the arena crosses ``_NP_REHASH_CUTOFF`` and
+    rehashes its unique table while the kernel is suspended in the
+    callback.  ``rehashes`` collects ``(arena size, inside callback)`` per
+    vectorised rehash."""
+    tags = itertools.count()
+    inside = False
+    if rehashes is not None:
+        grow = mgr._grow_unique_np
+
+        def spy(np, cap):
+            rehashes.append((mgr.size(), inside))
+            grow(np, cap)
+
+        mgr._grow_unique_np = spy
+
+    def fn(a, b):
+        nonlocal inside
+        inside = True
+        for _ in range(2):
+            mgr.mk(13, mgr.false, mgr.leaf(("pad", next(tags))))
+        inside = False
+        return (a, b)
+
+    m1 = _full_map(mgr, list(range(6)), "x")
+    m2 = _full_map(mgr, list(range(6, 12)), "y")
+    return mgr.apply2(fn, m1, m2), m1, m2, fn
+
+
+def test_numpy_rehash_under_reentrant_apply2(monkeypatch):
+    """The vectorised unique-table rehash reads the arena through transient
+    ``frombuffer`` views.  Driven past its size cutoff from inside a
+    re-entrant ``apply2``, it must leave a table that finds every node (no
+    duplicate ids on a cold re-run), a result identical to the object
+    engine's and to the ``NV_BDD_NUMPY=0`` arena's, and no live buffer
+    export (``array.append`` would raise ``BufferError``)."""
+    pytest.importorskip("numpy")
+    from repro.bdd.arena import _NP_REHASH_CUTOFF
+
+    # Each manager captures its numpy handle at construction.
+    monkeypatch.delenv("NV_BDD_NUMPY", raising=False)
+    mgr = ArenaBddManager()
+    monkeypatch.setenv("NV_BDD_NUMPY", "0")
+    scalar = ArenaBddManager()
+    rehashes: list = []
+    r, m1, m2, fn = _grow_past_rehash_cutoff(mgr, rehashes)
+    assert mgr.size() > _NP_REHASH_CUTOFF
+    assert any(inside for _size, inside in rehashes)
+    assert all(size > _NP_REHASH_CUTOFF for size, _inside in rehashes)
+    # Every node is findable through the rebuilt table: a cold re-run
+    # reuses the consed ids instead of minting duplicates.
+    assert mgr.apply2(fn, m1, m2) == r
+    seen: dict = {}
+    for n in range(mgr.size()):
+        if not mgr.is_leaf(n):
+            key = (mgr.level(n), mgr.lo(n), mgr.hi(n))
+            assert key not in seen, \
+                f"duplicate nodes {seen[key]} and {n} for {key}"
+            seen[key] = n
+
+    spec = BddManager()
+    s1 = _full_map(spec, list(range(6)), "x")
+    s2 = _full_map(spec, list(range(6, 12)), "y")
+    assert mgr.snapshot(r) == spec.snapshot(
+        spec.apply2(lambda a, b: (a, b), s1, s2))
+
+    assert mgr.snapshot(r) == scalar.snapshot(
+        _grow_past_rehash_cutoff(scalar)[0])
+
+    # The arena columns are still resizable: a leaked view would make this
+    # append raise BufferError.
+    size = mgr.size()
+    fresh = mgr.mk(14, mgr.false, mgr.leaf("after"))
+    assert fresh == size + 1 and mgr.size() == size + 2
+
+
 def test_snapshots_are_cross_engine_identical():
     """The FrozenMap transport relies on byte-identical canonical blobs."""
     import pickle
 
     program = [("leaf", 3), ("var", 0), ("var", 2), ("band", 2, 3),
                ("apply2", "pair", 1, 0), ("map_ite", 4, "tag", "id", 2),
-               ("set_path", 2, [True, False, True, False, False, True], "z"),
-               ("apply2_many", "pair", [(2, 3), (1, 4)], True),
-               ("apply1_many", "tag", [5, 6], False)]
+               ("set_path", 2, [True, False, True, False, False, True], "z")]
     spec_mgr, arena_mgr = BddManager(), ArenaBddManager()
     spec_bools, spec_maps = _run(spec_mgr, program)
     arena_bools, arena_maps = _run(arena_mgr, program)
