@@ -42,7 +42,7 @@ REPORT_DIR = os.environ.get("NV_BENCH_REPORT") or None
 #: ``1`` writes to the default store (``.nv-runs/`` or ``$NV_RUNS_DIR``),
 #: any other non-empty value names the store directory.  ``NV_RUN_LABEL``
 #: overrides the record label (default ``bench``), so CI can record e.g.
-#: ``fig14-smoke`` per engine and later ``repro runs diff`` them.
+#: two ``fig14-smoke`` sessions and later ``repro runs diff`` them.
 RUN_RECORD = os.environ.get("NV_RUN_RECORD") or None
 RUN_LABEL = os.environ.get("NV_RUN_LABEL") or "bench"
 
@@ -164,8 +164,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         Path(out).write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
         terminalreporter.write_line(f"perf counter snapshot written to {out}")
     # ``NV_METRICS_JSON=path`` dumps the metrics snapshot (gauges +
-    # histograms — under ``NV_TELEMETRY=1`` that includes the arena
-    # engine's ``bdd.*_probe_len`` table-health histograms) so CI can
+    # histograms — under ``NV_TELEMETRY=1`` that includes the BDD
+    # manager's ``bdd.table_entries`` table-size histogram) so CI can
     # archive kernel-depth distributions next to the counters.
     mout = os.environ.get("NV_METRICS_JSON")
     if mout:

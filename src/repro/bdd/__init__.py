@@ -1,68 +1,19 @@
 """Hash-consed BDD/MTBDD engine (paper §5.1, fig 11).
 
-Two interchangeable engines implement the same manager API:
-
-* :class:`~repro.bdd.arena.ArenaBddManager` (default) — flat int-array
-  arena with open-addressed unique/op tables: ~3x lower retained memory,
-  cheap snapshots, and vectorised bulk analyses when numpy is available.
-* :class:`~repro.bdd.manager.BddManager` — the original object engine,
-  kept as the executable semantic spec and cross-checked against the
-  arena by ``tests/bdd/test_arena_equivalence.py``; its dict/list hot
-  paths run on CPython's C internals, so it still wins on scalar op
-  throughput (see EXPERIMENTS.md, PR 6).
-
-Select with ``NV_BDD_ENGINE=object|arena`` (see :func:`make_manager`).
+One engine, :class:`~repro.bdd.manager.BddManager`: parallel node lists,
+a dict-keyed unique table, per-operation memo dicts with packed-int keys,
+a canonical flat int32 ``snapshot`` blob for transport, and cross-call
+``sat_count``/``leaf_groups`` memos.  Its dict/list hot paths run on
+CPython's C internals.  ``tests/bdd/test_oracle.py`` checks it against a
+brute-force truth-table oracle over every assignment of 8 variables.
 """
 
-import os
-
-from .arena import ArenaBddManager
 from .manager import BddManager, LEAF_LEVEL
 
-__all__ = ["ArenaBddManager", "BddManager", "LEAF_LEVEL", "engine_hint",
-           "make_manager"]
-
-_ENGINES = {"object": BddManager, "arena": ArenaBddManager}
-
-#: One-line description of the most recently constructed manager (engine
-#: and numpy availability).  ``repro.observatory`` copies it into the
-#: RunRecord env fingerprint so ``repro runs diff`` can
-#: attribute a timing delta to an engine-choice difference — fig13b runs
-#: ~1.3x slower on ``arena`` than ``object`` when numpy is unavailable
-#: (BENCH_pr10.json), which is invisible if records only say "arena".
-_last_hint: str | None = None
+__all__ = ["BddManager", "LEAF_LEVEL", "engine_name"]
 
 
 def engine_name() -> str:
-    """The engine selected by ``NV_BDD_ENGINE`` (default ``arena``)."""
-    name = os.environ.get("NV_BDD_ENGINE", "arena").strip().lower() or "arena"
-    if name not in _ENGINES:
-        raise ValueError(
-            f"NV_BDD_ENGINE must be one of {sorted(_ENGINES)}, got {name!r}")
-    return name
-
-
-def engine_hint() -> str | None:
-    """The construction hint left by the last :func:`make_manager` call
-    (``None`` until a manager has been built in this process)."""
-    return _last_hint
-
-
-def make_manager(**kwargs):
-    """Construct the BDD manager selected by ``NV_BDD_ENGINE``.
-
-    The environment variable is read per call (not at import), so tests can
-    flip engines with ``monkeypatch.setenv``.
-    """
-    global _last_hint
-    name = engine_name()
-    mgr = _ENGINES[name](**kwargs)
-    if name == "arena":
-        np = mgr._np
-        if np is None:
-            _last_hint = "arena+scalar"
-        else:
-            _last_hint = f"arena+numpy-{np.__version__}"
-    else:
-        _last_hint = name
-    return mgr
+    """Name of the BDD engine, recorded in RunRecord env fingerprints so
+    records from before and after an engine change stay distinguishable."""
+    return "object"

@@ -740,7 +740,7 @@ class BddManager:
         Nodes are renumbered in DFS preorder (lo before hi, root = 0) into
         one ``array('i')`` of ``(var, lo, hi)`` triples; leaves store ``-1``
         in var and an index into the returned leaf list.  Equal diagrams —
-        across engines and across processes — produce byte-identical blobs,
+        across managers and across processes — produce byte-identical blobs,
         so :class:`~repro.eval.maps.FrozenMap` equality stays structural.
         """
         level_a, lo_a, hi_a = self._level, self._lo, self._hi
@@ -813,11 +813,10 @@ class BddManager:
     def telemetry(self) -> tuple[dict[str, int], dict[str, Any]]:
         """``(counters, histograms)`` for :func:`repro.telemetry.flush_manager`.
 
-        The object engine's tables are CPython dicts, whose probing is
-        invisible from Python — the comparable health signal is the *size*
-        profile of each table (one observation per table into a shared
-        ``table_entries`` histogram) plus per-table entry counters, so an
-        arena-vs-object run diff lines the two engines' table shapes up."""
+        The tables are CPython dicts, whose probing is invisible from
+        Python, so the health signal is the *size* profile of each table:
+        one observation per table into a shared ``table_entries``
+        histogram, plus per-table entry counters."""
         sizes = {
             "table_unique_entries": len(self._unique),
             "table_leaf_entries": len(self._leaf_table),

@@ -167,25 +167,14 @@ class CounterDrift:
             ABS_SLACK, self.tolerance * abs(self.expected))
 
 
-#: Table-capacity gauges only the arena engine reports.  Budgets are pinned
-#: under the default engine (arena); when the suite runs under another
-#: ``NV_BDD_ENGINE`` these are skipped instead of read as vanished counters.
-_ARENA_ONLY_COUNTERS = frozenset({"bdd.unique_capacity",
-                                  "bdd.op_cache_capacity"})
-
-
 def compare_counters(workload: str, expected: Mapping[str, int],
                      actual: Mapping[str, int],
                      tolerance: float) -> list[CounterDrift]:
     """Compare a fresh counter capture against a budget.  Counters that
     appear on either side only are compared against 0 (a vanished counter
     family is itself a regression signal)."""
-    from .bdd import engine_name
-    skip = _ARENA_ONLY_COUNTERS if engine_name() != "arena" else frozenset()
     rows = []
     for counter in sorted(set(expected) | set(actual)):
-        if counter in skip:
-            continue
         rows.append(CounterDrift(workload, counter,
                                  int(expected.get(counter, 0)),
                                  int(actual.get(counter, 0)), tolerance))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..bdd import make_manager
+from ..bdd import BddManager
 from ..lang import types as T
 from ..lang.errors import NvEncodingError
 from .encoding import Encoder
@@ -21,14 +21,11 @@ from .values import VRecord, VSome
 
 class MapContext:
     """Shared state for all maps of one analysis run: the BDD manager, the
-    key encoder for the network under analysis, and per-type caches.
-
-    The manager engine is chosen by ``NV_BDD_ENGINE`` (see
-    :func:`repro.bdd.make_manager`); both engines expose the same API."""
+    key encoder for the network under analysis, and per-type caches."""
 
     def __init__(self, num_nodes: int = 0,
                  edges: tuple[tuple[int, int], ...] = ()) -> None:
-        self.manager = make_manager()
+        self.manager = BddManager()
         self.encoder = Encoder(num_nodes, edges)
         self._domain_cache: dict[T.Type, int] = {}
         # Frozen-snapshot cache (see freeze_value): pins a bytes blob and
@@ -172,7 +169,7 @@ class FrozenMap:
     ``nodes`` is the map's canonical MTBDD flattened to one little-endian
     ``int32`` blob of ``(var, lo, hi)`` triples in DFS preorder (lo before
     hi, root first; leaves store ``-1`` in var and an index into ``leaves``)
-    — the engine-independent format produced by both managers' ``snapshot``.
+    — the format :meth:`~repro.bdd.manager.BddManager.snapshot` produces.
     Two maps over the same network are equal iff their blobs and leaf tuples
     are (MTBDDs are canonical for a fixed variable order), and the blob
     pickles as a single bytes object instead of a nested-tuple graph.  Shard

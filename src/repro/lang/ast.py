@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .errors import NvTypeError
 from .types import Type
 
 # ---------------------------------------------------------------------------
@@ -472,14 +473,14 @@ class Program:
         for d in self.decls:
             if isinstance(d, DNodes):
                 return d.count
-        raise KeyError("program has no `nodes` declaration")
+        raise NvTypeError("program is missing the 'nodes' declaration")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         for d in self.decls:
             if isinstance(d, DEdges):
                 return d.edges
-        raise KeyError("program has no `edges` declaration")
+        raise NvTypeError("program is missing the 'edges' declaration")
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,21 @@ class Parser:
         return A.Program(decls)
 
     def parse_decl(self, include_resolver, included: set[str]) -> list[A.Decl]:
-        if self.accept("keyword", "include"):
+        inc = self.accept("keyword", "include")
+        if inc:
             name = self.expect("ident").text
             if name in included:
                 return []
             included.add(name)
             if include_resolver is None:
                 raise self.error(f"no include resolver for module {name!r}")
-            sub = Parser(tokenize(include_resolver(name)), self.type_env)
+            try:
+                source = include_resolver(name)
+            except KeyError as exc:
+                raise NvSyntaxError(exc.args[0] if exc.args else
+                                    f"unknown NV module {name!r}",
+                                    inc.line, inc.col) from None
+            sub = Parser(tokenize(source), self.type_env)
             subprog = sub.parse_program(include_resolver, included)
             self.type_env.update(sub.type_env)
             return [A.DInclude(name)] + subprog.decls

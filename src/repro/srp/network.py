@@ -35,7 +35,9 @@ class Network:
 
     @staticmethod
     def from_program(program: A.Program) -> "Network":
-        """Type check a program and extract its network structure."""
+        """Type check a program and extract its network structure.  A
+        program without a ``nodes`` or ``edges`` declaration raises
+        ``NvTypeError``."""
         attr_ty = check_network(program)
         num_nodes = program.nodes
         links = program.edges

@@ -203,8 +203,9 @@ class TestDeclarations:
         assert "bgp" in p.type_decls()
 
     def test_include_unknown(self):
-        with pytest.raises(KeyError):
-            parse_program("include nosuchmodule", resolve)
+        with pytest.raises(NvSyntaxError, match="unknown NV module") as exc:
+            parse_program("let nodes = 2\n  include nosuchmodule", resolve)
+        assert (exc.value.line, exc.value.col) == (2, 3)
 
     def test_duplicate_include_once(self):
         p = parse_program("include bgp\ninclude bgp", resolve)

@@ -7,6 +7,7 @@ from repro.lang.errors import NvTypeError
 from repro.lang.parser import parse_expr, parse_program
 from repro.lang.typecheck import TypeChecker, check_network, check_program
 from repro.protocols import resolve
+from repro.srp.network import Network
 
 
 def infer(src: str, env_types: dict[str, T.Type] | None = None) -> T.Type:
@@ -156,6 +157,18 @@ let trans (e : edge) (x : int) = x
 """)
         with pytest.raises(NvTypeError):
             check_network(p)
+
+    @pytest.mark.parametrize("missing", ["nodes", "edges"])
+    def test_missing_topology(self, missing):
+        decls = {"nodes": "let nodes = 2", "edges": "let edges = {0n=1n}"}
+        del decls[missing]
+        p = parse_program("\n".join(decls.values()) + """
+let init (u : node) = 0
+let trans (e : edge) (x : int) = x
+let merge (u : node) (x y : int) = x
+""")
+        with pytest.raises(NvTypeError, match=f"missing the '{missing}'"):
+            Network.from_program(p)
 
     def test_inconsistent_attr(self):
         p = parse_program("""

@@ -195,6 +195,17 @@ class TestErrors:
         assert main(["simulate", str(f)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        ("include rip", "include ripX"),
+        ("let nodes = 3", ""),
+        ("let edges = {0n=1n; 1n=2n; 0n=2n}", ""),
+    ], ids=["unknown-include", "no-nodes", "no-edges"])
+    def test_malformed_network_reported(self, tmp_path, capsys, edit):
+        f = tmp_path / "bad.nv"
+        f.write_text(RIP_TRIANGLE.replace(*edit))
+        assert main(["simulate", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMetricsFlags:
     """The live-metrics CLI surface: --progress/--heartbeat/--metrics-json/

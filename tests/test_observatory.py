@@ -12,7 +12,7 @@ from repro.observatory import (
 
 
 def _record(run_id, label="bench", created=1000.0, **kw):
-    kw.setdefault("env", {"engine": "arena", "git_sha": "abc123"})
+    kw.setdefault("env", {"engine": "object", "git_sha": "abc123"})
     return RunRecord(run_id=run_id, label=label, created=created, **kw)
 
 
@@ -50,7 +50,7 @@ class TestRunRecord:
 
     def test_env_fingerprint_fields(self):
         env = observatory.env_fingerprint()
-        assert env["engine"] in ("arena", "object")
+        assert env["engine"] == "object"
         assert "python" in env and "jobs" in env
 
 
@@ -169,7 +169,7 @@ class TestDiff:
         rec = _record("r1", label="smoke", timings={"t": [1.0]},
                       counters={"c": 5})
         text = observatory.describe(rec)
-        assert "r1" in text and "smoke" in text and "engine=arena" in text
+        assert "r1" in text and "smoke" in text and "engine=object" in text
 
 
 class TestCli:
